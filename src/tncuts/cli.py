@@ -102,6 +102,8 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_hardset(args) -> dict:
+    if args.r < 1:
+        raise _CliError(f"--r must be >= 1, got {args.r}")
     tree = _load_tree(args.tree)
     subset = construct_hard_subset(tree)
     size = min_mono_cut(tree, subset).size

@@ -4,21 +4,16 @@ A leaf subset A two-colours the leaves.  A monochromatic cut is an edge set
 whose removal leaves every component's leaves single-coloured (components
 without leaves are unconstrained); a colour cut leaves every component with
 at least one leaf of each colour.  Minimum/maximum sizes are computed by a
-two-pass dynamic program over the rooted orientation; the brute-force
-routine is a fully independent check.
+two-pass dynamic program over the rooted orientation: a cost pass from the
+leaves up, then a witness walk from the root down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from .trees import EdgeId, Tree
-
-_INF = 1 << 40
-_BRUTE_EXHAUSTIVE_EDGES = 14
-_BRUTE_MAX_EDGES = 22
 
 
 @dataclass(frozen=True)
@@ -37,54 +32,68 @@ class ProductCut:
     witness: frozenset[EdgeId]
 
 
-# -- minimum monochromatic cut ---------------------------------------------
+# -- the monochromatic-cut DP ------------------------------------------------
+#
+# One DP serves both minimisations.  Weighted by f it minimises prod f(e)
+# over monochromatic cuts; with weight 2 on every edge the cheapest product
+# is 2**size of the smallest cut, and 2**x is strictly increasing, so every
+# comparison and tie comes out as it would when counting edges.
 
 
-def _mono_costs(tree: Tree, amask: int) -> tuple[list[int], list[int]]:
-    # state: colour class of the component containing the vertex
-    # (0 = outside A, 1 = inside A); leaves force their state.
-    c0 = [0] * tree.num_vertices
-    c1 = [0] * tree.num_vertices
+def _cut_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], list[int]]:
+    # c0[v] / c1[v]: cheapest product of cut weights below v, given that v's
+    # component is coloured 0 (outside A) or 1 (inside A).  A leaf's other
+    # colour costs more than any single weight, which is all a parent
+    # compares it with; at the root (leaf 1) only its own colour is read.
+    c0 = [1] * tree.num_vertices
+    c1 = [1] * tree.num_vertices
+    forbidden = max(weights) + 1
     n = tree.n
+    in_a = bin(amask)[:1:-1].ljust(n, "0")  # in_a[i] == "1": leaf i + 1 is in A
     children = tree._children
     for v in tree._postorder:
         if v < n:
-            b0, b1 = (_INF, 0) if (amask >> v) & 1 else (0, _INF)
+            b0, b1 = (forbidden, 1) if in_a[v] == "1" else (1, forbidden)
         else:
-            b0 = b1 = 0
-        for u, _ in children[v]:
+            b0 = b1 = 1
+        for u, ei in children[v]:
             u0 = c0[u]
             u1 = c1[u]
-            cut = (u0 if u0 < u1 else u1) + 1
-            b0 += u0 if u0 < cut else cut
-            b1 += u1 if u1 < cut else cut
+            cut = (u0 if u0 < u1 else u1) * weights[ei]
+            b0 *= u0 if u0 < cut else cut
+            b1 *= u1 if u1 < cut else cut
         c0[v] = b0
         c1[v] = b1
     return c0, c1
 
 
-def _min_mono_size(tree: Tree, amask: int) -> int:
-    if amask == 0 or amask == tree._full_mask:
-        return 0
-    c0, c1 = _mono_costs(tree, amask)
-    return min(c0[0], c1[0])
-
-
-def _mono_witness(tree: Tree, c0: list[int], c1: list[int]) -> frozenset[EdgeId]:
+def _cut_witness(
+    tree: Tree, amask: int, weights: list[int], c0: list[int], c1: list[int]
+) -> frozenset[EdgeId]:
     # On ties prefer keeping the edge, which pushes cuts towards the leaves.
     cut_edges = []
-    stack = [(0, 0 if c0[0] <= c1[0] else 1)]
+    children = tree._children
+    stack = [(0, amask & 1)]
     while stack:
         v, s = stack.pop()
-        for u, ei in tree._children[v]:
-            keep = c0[u] if s == 0 else c1[u]
-            cut = min(c0[u], c1[u]) + 1
-            if keep <= cut:
+        for u, ei in children[v]:
+            u0 = c0[u]
+            u1 = c1[u]
+            low, low_s = (u0, 0) if u0 <= u1 else (u1, 1)
+            keep = u1 if s else u0
+            if keep <= low * weights[ei]:
                 stack.append((u, s))
             else:
                 cut_edges.append(ei)
-                stack.append((u, 0 if c0[u] <= c1[u] else 1))
+                stack.append((u, low_s))
     return frozenset(tree._edge_ids[i] for i in cut_edges)
+
+
+def _min_mono_size(tree: Tree, amask: int) -> int:
+    if amask == 0 or amask == tree._full_mask:
+        return 0
+    c0, c1 = _cut_costs(tree, amask, [2] * len(tree._edge_ids))
+    return (c1[0] if amask & 1 else c0[0]).bit_length() - 1
 
 
 def min_mono_cut(tree: Tree, a: Iterable[int]) -> CutResult:
@@ -92,11 +101,10 @@ def min_mono_cut(tree: Tree, a: Iterable[int]) -> CutResult:
     amask = tree.mask_of(a)
     if amask == 0 or amask == tree._full_mask:
         return CutResult(0, frozenset())
-    c0, c1 = _mono_costs(tree, amask)
-    return CutResult(min(c0[0], c1[0]), _mono_witness(tree, c0, c1))
-
-
-# -- minimum product over monochromatic cuts -------------------------------
+    weights = [2] * len(tree._edge_ids)
+    c0, c1 = _cut_costs(tree, amask, weights)
+    cost = c1[0] if amask & 1 else c0[0]
+    return CutResult(cost.bit_length() - 1, _cut_witness(tree, amask, weights, c0, c1))
 
 
 def _check_edge_function(tree: Tree, f: Mapping[EdgeId, int]) -> list[int]:
@@ -117,38 +125,9 @@ def min_product_cut(tree: Tree, a: Iterable[int], f: Mapping[EdgeId, int]) -> Pr
     amask = tree.mask_of(a)
     if amask == 0 or amask == tree._full_mask:
         return ProductCut(1, frozenset())
-    inf = float("inf")
-    n = tree.n
-    c0: list = [1] * tree.num_vertices
-    c1: list = [1] * tree.num_vertices
-    for v in tree._postorder:
-        if v < n:
-            b0, b1 = (inf, 1) if (amask >> v) & 1 else (1, inf)
-        else:
-            b0 = b1 = 1
-        for u, ei in tree._children[v]:
-            u0 = c0[u]
-            u1 = c1[u]
-            cut = (u0 if u0 < u1 else u1) * fvals[ei]
-            b0 *= u0 if u0 < cut else cut
-            b1 *= u1 if u1 < cut else cut
-        c0[v] = b0
-        c1[v] = b1
-    cut_edges = []
-    stack = [(0, 0 if c0[0] <= c1[0] else 1)]
-    while stack:
-        v, s = stack.pop()
-        for u, ei in tree._children[v]:
-            keep = c0[u] if s == 0 else c1[u]
-            cut = min(c0[u], c1[u]) * fvals[ei]
-            if keep <= cut:
-                stack.append((u, s))
-            else:
-                cut_edges.append(ei)
-                stack.append((u, 0 if c0[u] <= c1[u] else 1))
-    best = min(c0[0], c1[0])
-    assert best != float("inf")
-    return ProductCut(int(best), frozenset(tree._edge_ids[i] for i in cut_edges))
+    c0, c1 = _cut_costs(tree, amask, fvals)
+    product = c1[0] if amask & 1 else c0[0]
+    return ProductCut(product, _cut_witness(tree, amask, fvals, c0, c1))
 
 
 # -- maximum colour cut ------------------------------------------------------
@@ -253,59 +232,3 @@ def verify_colour_cut(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> bo
     """True iff removing ``cut`` leaves every component with leaves of both colours."""
     flags = _component_flags(tree, a, cut)
     return all(has_b and has_a for has_b, has_a in flags.values())
-
-
-# -- independent oracle --------------------------------------------------------
-
-
-def brute_force_min_mono(tree: Tree, a: Iterable[int]) -> int:
-    """Independent minimum-monochromatic-cut value.
-
-    Up to 14 edges: exhaustive subset search, smallest edge set separating
-    every A leaf from every non-A leaf.  Up to 22 edges: the same value via
-    unit-capacity max-flow between the two colour classes (menger duality).
-    """
-    n_edges = len(tree.edges())
-    if n_edges > _BRUTE_MAX_EDGES:
-        raise ValueError(f"tree too large for the brute-force oracle ({n_edges} edges)")
-    amask = tree.mask_of(a)
-    if amask == 0 or amask == tree._full_mask:
-        return 0
-    if n_edges <= _BRUTE_EXHAUSTIVE_EDGES:
-        return _brute_subset_scan(tree, amask)
-    return _min_cut_by_flow(tree, amask)
-
-
-def _brute_subset_scan(tree: Tree, amask: int) -> int:
-    paths = tree.pair_path_masks()
-    a_leaves = [i for i in range(tree.n) if (amask >> i) & 1]
-    b_leaves = [i for i in range(tree.n) if not (amask >> i) & 1]
-    pair_masks = sorted({paths[x][y] for x in a_leaves for y in b_leaves})
-    relevant = 0
-    for m in pair_masks:
-        relevant |= m
-    edges = [i for i in range(len(tree.edges())) if (relevant >> i) & 1]
-    for size in range(1, len(edges) + 1):
-        for combo in combinations(edges, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if all(pm & mask for pm in pair_masks):
-                return size
-    raise AssertionError("cutting all edges always separates the colours")
-
-
-def _min_cut_by_flow(tree: Tree, amask: int) -> int:
-    import networkx as nx
-
-    g = nx.DiGraph()
-    big = len(tree.edges()) + 1
-    for u, v in tree._edge_ends:
-        g.add_edge(u, v, capacity=1)
-        g.add_edge(v, u, capacity=1)
-    for leaf in range(tree.n):
-        if (amask >> leaf) & 1:
-            g.add_edge("s", leaf, capacity=big)
-        else:
-            g.add_edge(leaf, "t", capacity=big)
-    return nx.maximum_flow_value(g, "s", "t")

@@ -60,31 +60,42 @@ class TnsModel:
         }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def model_from_json_dict(data: Mapping) -> TnsModel:
     """Build a model from the JSON object form.
 
     "f" may be a scalar (constant function); "dims" may be omitted when f
-    is constant, defaulting every leaf to that constant.
+    is constant, defaulting every leaf to that constant.  Malformed input
+    raises ValueError.
     """
-    try:
-        tree = parse_tree(data["tree"])
-    except KeyError:
-        raise ValueError('model file needs a "tree" entry') from None
+    if not isinstance(data, Mapping):
+        raise ValueError("model file must hold a JSON object")
+    text = data.get("tree")
+    if text is None:
+        raise ValueError('model file needs a "tree" entry')
+    if not isinstance(text, str):
+        raise ValueError('"tree" must be a string')
+    tree = parse_tree(text)
     raw_f = data.get("f")
     if raw_f is None:
         raise ValueError('model file needs an "f" entry')
-    if isinstance(raw_f, int):
+    if _is_int(raw_f):
         f = {e: raw_f for e in tree.edges()}
-    else:
+    elif isinstance(raw_f, Mapping):
         f = {}
         for key, value in raw_f.items():
             try:
                 eid = tree.resolve_edge(EdgeId.from_key(key))
             except ValueError:
                 raise ValueError(f"edge key {key!r} does not name an edge of the tree") from None
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise ValueError(f"bond value for {key!r} must be an integer")
             f[eid] = value
+    else:
+        raise ValueError('"f" must be an integer or an object of integers')
     raw_dims = data.get("dims")
     if raw_dims is None:
         values = set(f.values())
@@ -92,10 +103,14 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
             raise ValueError('"dims" may only be omitted when f is constant')
         constant = values.pop()
         dims = {lab: constant for lab in range(1, tree.n + 1)}
-    else:
+    elif isinstance(raw_dims, Mapping):
         dims = {}
         for key, value in raw_dims.items():
+            if not _is_int(value):
+                raise ValueError(f"dimension for leaf {key!r} must be an integer")
             dims[int(key)] = value
+    else:
+        raise ValueError('"dims" must be an object of integers')
     return TnsModel(tree, f, dims)
 
 

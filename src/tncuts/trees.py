@@ -77,14 +77,12 @@ class Tree:
         "_edge_ids",
         "_edge_pos",
         "_edge_ends",
-        "_side_masks",
+        "_edge_sides",
         "_children",
-        "_parent",
         "_parent_edge",
         "_postorder",
         "_full_mask",
         "_split_key",
-        "_pair_paths",
     )
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]], leaf_labels: Mapping[int, int]):
@@ -160,10 +158,10 @@ class Tree:
             for u, v, side in raw_edges
         )
         self._edge_ids = tuple(EdgeId(key[1]) for key, _, _, _ in edges)
-        self._side_masks = tuple(side for _, _, _, side in edges)
+        self._edge_sides = tuple(side for _, _, _, side in edges)
         self._edge_ends = tuple((u, v) for _, u, v, _ in edges)
         self._edge_pos = {eid: i for i, eid in enumerate(self._edge_ids)}
-        self._split_key = frozenset(self._side_masks)
+        self._split_key = frozenset(self._edge_sides)
 
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
         for i, (_, u, v, _) in enumerate(edges):
@@ -188,11 +186,9 @@ class Tree:
         children: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
         for v in bfs[1:]:
             children[parent[v]].append((v, parent_edge[v]))
-        self._parent = tuple(parent)
         self._parent_edge = tuple(parent_edge)
         self._children = tuple(tuple(c) for c in children)
         self._postorder = tuple(reversed(bfs))
-        self._pair_paths = None
 
     # -- basic queries -------------------------------------------------
 
@@ -215,17 +211,10 @@ class Tree:
                 return other
         raise ValueError(f"edge {edge} does not belong to this tree")
 
-    def has_edge(self, edge: EdgeId) -> bool:
-        try:
-            self.resolve_edge(edge)
-        except ValueError:
-            return False
-        return True
-
     def leaves_left_of(self, edge: EdgeId) -> frozenset[int]:
         """The canonical-key side of the edge's leaf bipartition."""
         pos = self._edge_pos[self.resolve_edge(edge)]
-        return self.labels_of_mask(self._side_masks[pos])
+        return self.labels_of_mask(self._edge_sides[pos])
 
     def mask_of(self, labels: Iterable[int]) -> int:
         mask = 0
@@ -237,20 +226,6 @@ class Tree:
 
     def labels_of_mask(self, mask: int) -> frozenset[int]:
         return frozenset(i + 1 for i in range(self.n) if (mask >> i) & 1)
-
-    def side_mask(self, edge_index: int) -> int:
-        return self._side_masks[edge_index]
-
-    def pair_path_masks(self) -> tuple[tuple[int, ...], ...]:
-        """pair_path_masks()[a][b]: edge bitmask of the leaf-(a+1)..(b+1) path."""
-        if self._pair_paths is None:
-            root_path = [0] * self.num_vertices
-            for v in reversed(self._postorder[:-1]):
-                root_path[v] = root_path[self._parent[v]] ^ (1 << self._parent_edge[v])
-            self._pair_paths = tuple(
-                tuple(root_path[a] ^ root_path[b] for b in range(self.n)) for a in range(self.n)
-            )
-        return self._pair_paths
 
     # -- value semantics -----------------------------------------------
 

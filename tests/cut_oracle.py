@@ -1,0 +1,88 @@
+"""Independent minimum-monochromatic-cut oracle for the tests.
+
+It shares no code with the cut DP in ``tncuts.cuts``: leaf-to-leaf paths
+are read off the public edge bipartitions, and the value comes from an
+exhaustive subset search or, on larger trees, from max-flow with networkx.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+from typing import Iterable
+
+from tncuts import Tree
+
+BRUTE_EXHAUSTIVE_EDGES = 14
+BRUTE_MAX_EDGES = 22
+
+
+def brute_force_min_mono(tree: Tree, a: Iterable[int]) -> int:
+    """Independent minimum-monochromatic-cut value.
+
+    Up to 14 edges: exhaustive subset search, smallest edge set separating
+    every A leaf from every non-A leaf.  Up to 22 edges: the same value via
+    unit-capacity max-flow between the two colour classes (menger duality).
+    """
+    n_edges = len(tree.edges())
+    if n_edges > BRUTE_MAX_EDGES:
+        raise ValueError(f"tree too large for the brute-force oracle ({n_edges} edges)")
+    amask = tree.mask_of(a)
+    if amask == 0 or amask == (1 << tree.n) - 1:
+        return 0
+    if n_edges <= BRUTE_EXHAUSTIVE_EDGES:
+        return brute_subset_scan(tree, amask)
+    return min_cut_by_flow(tree, amask)
+
+
+@lru_cache(maxsize=64)
+def pair_path_masks(tree: Tree) -> tuple[tuple[int, ...], ...]:
+    """pair_path_masks(tree)[a][b]: bitmask over ``tree.edges()`` of the
+    edges on the path between leaves a+1 and b+1.
+
+    An edge lies on that path exactly when its bipartition separates the
+    two leaves.
+    """
+    sides = [tree.mask_of(tree.leaves_left_of(e)) for e in tree.edges()]
+    return tuple(
+        tuple(
+            sum(1 << i for i, side in enumerate(sides) if ((side >> x) ^ (side >> y)) & 1)
+            for y in range(tree.n)
+        )
+        for x in range(tree.n)
+    )
+
+
+def brute_subset_scan(tree: Tree, amask: int) -> int:
+    paths = pair_path_masks(tree)
+    a_leaves = [i for i in range(tree.n) if (amask >> i) & 1]
+    b_leaves = [i for i in range(tree.n) if not (amask >> i) & 1]
+    pair_masks = sorted({paths[x][y] for x in a_leaves for y in b_leaves})
+    relevant = 0
+    for m in pair_masks:
+        relevant |= m
+    edges = [i for i in range(len(tree.edges())) if (relevant >> i) & 1]
+    for size in range(1, len(edges) + 1):
+        for combo in combinations(edges, size):
+            mask = 0
+            for i in combo:
+                mask |= 1 << i
+            if all(pm & mask for pm in pair_masks):
+                return size
+    raise AssertionError("cutting all edges always separates the colours")
+
+
+def min_cut_by_flow(tree: Tree, amask: int) -> int:
+    import networkx as nx
+
+    g = nx.DiGraph()
+    big = len(tree.edges()) + 1
+    for u, v in tree._edge_ends:
+        g.add_edge(u, v, capacity=1)
+        g.add_edge(v, u, capacity=1)
+    for leaf in range(tree.n):
+        if (amask >> leaf) & 1:
+            g.add_edge("s", leaf, capacity=big)
+        else:
+            g.add_edge(leaf, "t", capacity=big)
+    return nx.maximum_flow_value(g, "s", "t")

@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from cut_oracle import brute_force_min_mono
 from tncuts import (
     CounterRng,
     TnsModel,
     all_binary_trees,
-    brute_force_min_mono,
     build_almost_perfect_binary,
     check_membership,
     complement,

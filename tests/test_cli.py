@@ -83,6 +83,30 @@ def test_exit_code_input_errors(tmp_path):
     out = run_cli("minmono", "--tree", "inputs/cat4.txt", check=False)  # missing flag
     assert out.returncode == 1
 
+    out = run_cli("hardset", "--tree", "inputs/cat4.txt", "--r", "-2", check=False)
+    assert out.returncode == 1
+    assert out.stdout == b"" and out.stderr.startswith(b"error: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1]",
+        '{"tree": "((1,2),(3,4))", "f": 2.5}',
+        '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"1": "a", "2": 2, "3": 2, "4": 2}}',
+        '{"tree": "((1,2),(3,4))", "f": true}',
+        '{"tree": 5, "f": 2}',
+    ],
+    ids=["top_level_list", "float_f", "string_dims", "bool_f", "tree_not_string"],
+)
+def test_malformed_model_is_input_error(tmp_path, text):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    out = run_cli("predict", "--model", str(path), "--subset", "1,3", check=False)
+    assert out.returncode == 1
+    assert out.stdout == b""
+    assert out.stderr.decode().startswith("error: ") and out.stderr.count(b"\n") == 1
+
 
 def test_exit_code_resource_cap(tmp_path):
     # 13 leaves, dims 8: 8**13 entries blows the cap

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cut_oracle import brute_force_min_mono, brute_subset_scan, min_cut_by_flow
 from tncuts import (
     EdgeId,
-    brute_force_min_mono,
     build_train_track,
     complement,
     max_colour_cut,
@@ -19,7 +19,6 @@ from tncuts import (
     verify_colour_cut,
     verify_mono_cut,
 )
-from tncuts.cuts import _brute_subset_scan, _min_cut_by_flow
 
 CAT4 = parse_tree("((1,2),(3,4))")
 EX12 = parse_tree("((((1,2),3),((4,5),6)),(((7,8),9),((10,11),12)))")
@@ -86,12 +85,17 @@ def test_verify_predicates():
 
 
 def test_min_product_constant_reduces_to_cardinality():
-    for seed in range(8):
-        tree = random_binary_tree(6, seed)
-        f = {e: 3 for e in tree.edges()}
-        for bits in range(1 << 6):
-            a = {i + 1 for i in range(6) if (bits >> i) & 1}
-            assert min_product_cut(tree, a, f).product == 3 ** min_mono_cut(tree, a).size
+    # Same cuts, same tie rule: the witness matches too, not just the value.
+    for r in (2, 3):
+        for seed in range(8):
+            tree = random_binary_tree(6, seed)
+            f = {e: r for e in tree.edges()}
+            for bits in range(1 << 6):
+                a = {i + 1 for i in range(6) if (bits >> i) & 1}
+                product = min_product_cut(tree, a, f)
+                mono = min_mono_cut(tree, a)
+                assert product.product == r**mono.size
+                assert product.witness == mono.witness
 
 
 def test_min_product_weighted_cat4():
@@ -157,7 +161,7 @@ def test_brute_force_routes_agree():
         amask = (seed * 2654435761) % (1 << tree.n)
         if amask in (0, (1 << tree.n) - 1):
             continue
-        assert _brute_subset_scan(tree, amask) == _min_cut_by_flow(tree, amask)
+        assert brute_subset_scan(tree, amask) == min_cut_by_flow(tree, amask)
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cut_oracle import brute_force_min_mono
 from tncuts import (
     CounterRng,
     EdgeId,
     TnsModel,
-    brute_force_min_mono,
     build_almost_perfect_binary,
     build_train_track,
     compare_models,
