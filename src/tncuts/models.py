@@ -15,7 +15,7 @@ from math import prod
 from typing import Iterable, Mapping
 
 from .cuts import min_product_cut
-from .trees import EdgeId, Tree, parse_tree
+from .trees import EdgeId, Tree, _adjacency, parse_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +251,7 @@ def construct_hard_subset(tree: Tree) -> frozenset[int]:
     """
     if tree.n < 2:
         raise ValueError("need at least 2 leaves")
-    adj = {v: {u for u, _ in tree._nbrs[v]} for v in range(tree.num_vertices)}
+    adj = _adjacency(tree)
     label = {v: v + 1 for v in range(tree.n)}
     chosen: set[int] = set()
 

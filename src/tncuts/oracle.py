@@ -21,6 +21,7 @@ from .rng import CounterRng, derive_seed
 
 DEFAULT_PRIME = (1 << 31) - 1
 SIZE_CAP = 1 << 24
+_MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
 
 
 class SizeCapError(RuntimeError):
@@ -73,6 +74,15 @@ def _bond_extents(model: TnsModel) -> list[int]:
     return extents
 
 
+def _contract_axis1(arr: np.ndarray, other: np.ndarray, p: int) -> np.ndarray:
+    """Contract axis 1 of ``arr`` with axis 0 of ``other``; other's remaining
+    axes are appended after arr's."""
+    arr = np.moveaxis(arr, 1, -1)
+    bond = arr.shape[-1]
+    out = matmul_mod(arr.reshape(-1, bond), other.reshape(bond, -1), p)
+    return out.reshape(arr.shape[:-1] + other.shape[1:])
+
+
 def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) -> DenseTensor:
     """Random tensor of the model, deterministic in (model, seed, p).
 
@@ -82,76 +92,45 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
     validate_prime(p)
     tree = model.tree
     n = tree.n
+    if n > _MAX_AXES:
+        raise SizeCapError(f"a dense tensor on {n} leaves exceeds numpy's cap of {_MAX_AXES} axes")
     total = prod(model.shape())
     if total > SIZE_CAP:
         raise SizeCapError(f"dense tensor of {total} entries exceeds the cap of {SIZE_CAP}")
     extents = _bond_extents(model)
     rng = CounterRng(seed)
 
-    incident: list[list[int]] = [[] for _ in range(tree.num_vertices)]
-    for i, (u, v) in enumerate(tree._edge_ends):
-        incident[u].append(i)
-        incident[v].append(i)
-
     cores: dict[int, np.ndarray] = {}
-    axes: dict[int, list[int]] = {}
     for v in range(n, tree.num_vertices):
-        edge_idx = sorted(incident[v])
+        edge_idx = sorted(ei for _, ei in tree._nbrs[v])
         shape = tuple(extents[i] for i in edge_idx)
         size = prod(shape)
         if size > SIZE_CAP:
             raise SizeCapError(f"core of {size} entries exceeds the cap of {SIZE_CAP}")
-        cores[v] = rng.residues(size, p).reshape(shape)
-        axes[v] = edge_idx
-    leaf_mats = {}
+        # axes reordered to (parent bond, child bonds in _children order)
+        order = [tree._parent_edge[v]] + [ei for _, ei in tree._children[v]]
+        cores[v] = rng.residues(size, p).reshape(shape).transpose([edge_idx.index(ei) for ei in order])
+    leaf_mats = []
     for leaf in range(n):
-        ei = incident[leaf][0]
-        leaf_mats[leaf] = rng.residues(model.dims[leaf + 1] * extents[ei], p).reshape(
-            model.dims[leaf + 1], extents[ei]
-        )
+        shape = (model.dims[leaf + 1], extents[tree._nbrs[leaf][0][1]])
+        leaf_mats.append(rng.residues(prod(shape), p).reshape(shape))
 
-    if n == 2:
-        data = matmul_mod(leaf_mats[0], leaf_mats[1].T.copy(), p)
-        return DenseTensor(data, p)
-
-    def contract_bond(arr, desc, pos, other, odesc):
-        """Contract axis ``pos`` of arr with axis 0 of other; other's
-        remaining axes are appended.  desc entries: ("e", i) open bond or
-        ("l", label)."""
-        arr = np.moveaxis(arr, pos, arr.ndim - 1)
-        left_shape = arr.shape[:-1]
-        bond = arr.shape[-1]
-        rest = other.shape[1:]
-        out = matmul_mod(arr.reshape(-1, bond), other.reshape(bond, -1), p)
-        out = out.reshape(left_shape + rest)
-        new_desc = [d for j, d in enumerate(desc) if j != pos] + list(odesc)
-        return out, new_desc
-
-    def build(v: int) -> tuple[np.ndarray, list]:
-        # returns the subtree tensor with the bond towards the parent open
-        arr = cores[v]
-        desc = [("e", i) for i in axes[v]]
-        for child, ei in tree._children[v]:
-            pos = desc.index(("e", ei))
-            if child < n:
-                sub = leaf_mats[child].T.copy()  # bond first
-                arr, desc = contract_bond(arr, desc, pos, sub, [("l", child + 1)])
-            else:
-                sub, sdesc = build(child)
-                spos = sdesc.index(("e", ei))
-                sub = np.ascontiguousarray(np.moveaxis(sub, spos, 0))
-                odesc = [d for j, d in enumerate(sdesc) if j != spos]
-                arr, desc = contract_bond(arr, desc, pos, sub, odesc)
-        return arr, desc
-
-    root_inner = tree._children[0][0][0]
-    leaf1_edge = tree._parent_edge[root_inner]
-    arr, desc = build(root_inner)
-    pos = desc.index(("e", leaf1_edge))
-    arr, desc = contract_bond(arr, desc, pos, leaf_mats[0].T.copy(), [("l", 1)])
-    order = sorted(range(len(desc)), key=lambda j: desc[j][1])
-    data = np.ascontiguousarray(np.transpose(arr, order))
-    return DenseTensor(data, p)
+    # Leaf to root: each subtree tensor has its parent bond on axis 0 and
+    # then one axis per subtree leaf, listed in ``labels``.
+    subtree: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for v in tree._postorder[:-1]:
+        if v < n:
+            subtree[v] = (leaf_mats[v].T, [v + 1])
+            continue
+        arr, labels = cores[v], []
+        for child, _ in tree._children[v]:
+            sub, sub_labels = subtree.pop(child)
+            arr = _contract_axis1(arr, sub, p)
+            labels += sub_labels
+        subtree[v] = (arr, labels)
+    arr, labels = subtree.pop(tree._children[0][0][0])
+    data = matmul_mod(leaf_mats[0], arr.reshape(len(arr), -1), p).reshape(model.dims[1], *arr.shape[1:])
+    return DenseTensor(np.ascontiguousarray(np.transpose(data, np.argsort([1] + labels))), p)
 
 
 def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:

@@ -9,7 +9,6 @@ exactly when they induce the same set of bipartitions.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rng import CounterRng
@@ -17,6 +16,16 @@ from .rng import CounterRng
 
 class TreeParseError(ValueError):
     """Malformed parenthesised tree expression."""
+
+
+def _mask_labels(mask: int) -> tuple[int, ...]:
+    """Ascending labels of the set bits of a leaf mask (bit i is label i + 1)."""
+    labels = []
+    while mask:
+        low = mask & -mask
+        labels.append(low.bit_length())
+        mask ^= low
+    return tuple(labels)
 
 
 class EdgeId:
@@ -100,27 +109,10 @@ class Tree:
             if len(nbrs) != want:
                 raise ValueError("leaves must have degree 1, inner vertices degree 3")
 
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != num_vertices:
-            raise ValueError("tree must be connected")
-
-        self.n = n
-        self.num_vertices = num_vertices
-        full = (1 << n) - 1
-        self._full_mask = full
-
         # Root the raw graph at the leaf labelled 1 and collect, for every
         # non-root vertex, the leaf mask of its subtree; that mask is one
         # side of the bipartition of the edge towards the parent.
-        vertex_of_label = {lab: v for v, lab in leaf_labels.items()}
-        root0 = vertex_of_label[1]
+        root0 = next(v for v, lab in leaf_labels.items() if lab == 1)
         order = [root0]
         parent0: dict[int, int | None] = {root0: None}
         for v in order:
@@ -128,21 +120,26 @@ class Tree:
                 if u not in parent0:
                     parent0[u] = v
                     order.append(u)
+        if len(order) != num_vertices:
+            raise ValueError("tree must be connected")
+
+        self.n = n
+        self.num_vertices = num_vertices
+        full = (1 << n) - 1
+        self._full_mask = full
         below = {v: (1 << (leaf_labels[v] - 1)) if v in leaf_labels else 0 for v in order}
         for v in reversed(order[1:]):
             below[parent0[v]] |= below[v]
 
-        def labels_of(mask: int) -> tuple[int, ...]:
-            return tuple(i + 1 for i in range(n) if (mask >> i) & 1)
-
-        raw_edges = []          # (orig_u, orig_v, canonical side mask)
+        raw_edges = []          # (orig_u, orig_v, canonical side mask, edge key)
         incident: dict[int, list] = {v: [] for v in adj}
         for v in order[1:]:
-            mask = below[v]
-            other = full ^ mask
-            side = mask if (mask.bit_count(), labels_of(mask)) <= (other.bit_count(), labels_of(other)) else other
-            raw_edges.append((parent0[v], v, side))
-            key = (side.bit_count(), labels_of(side))
+            # below[v] never holds leaf 1 (the root), so the canonical side
+            # -- fewer leaves, then the side holding leaf 1 on a tie -- is
+            # below[v] exactly when it is the strictly smaller half.
+            side = below[v] if 2 * below[v].bit_count() < n else full ^ below[v]
+            key = (side.bit_count(), _mask_labels(side))
+            raw_edges.append((parent0[v], v, side, key))
             incident[parent0[v]].append(key)
             incident[v].append(key)
 
@@ -153,10 +150,7 @@ class Tree:
         for i, v in enumerate(inner):
             new_index[v] = n + i
 
-        edges = sorted(
-            ((side.bit_count(), labels_of(side)), new_index[u], new_index[v], side)
-            for u, v, side in raw_edges
-        )
+        edges = sorted((key, new_index[u], new_index[v], side) for u, v, side, key in raw_edges)
         self._edge_ids = tuple(EdgeId(key[1]) for key, _, _, _ in edges)
         self._edge_sides = tuple(side for _, _, _, side in edges)
         self._edge_ends = tuple((u, v) for _, u, v, _ in edges)
@@ -170,7 +164,8 @@ class Tree:
         self._nbrs = tuple(tuple(sorted(lst)) for lst in nbrs)
 
         # Rooted orientation at vertex 0 (the leaf labelled 1), reused by
-        # the cut dynamic programs and the oracle's contraction order.
+        # the cut dynamic programs, serialize() and the oracle's contraction
+        # order.
         parent = [-1] * num_vertices
         parent_edge = [-1] * num_vertices
         bfs = [0]
@@ -225,7 +220,7 @@ class Tree:
         return mask
 
     def labels_of_mask(self, mask: int) -> frozenset[int]:
-        return frozenset(i + 1 for i in range(self.n) if (mask >> i) & 1)
+        return frozenset(_mask_labels(mask))
 
     # -- value semantics -----------------------------------------------
 
@@ -241,19 +236,19 @@ class Tree:
     # -- serialisation ---------------------------------------------------
 
     def serialize(self) -> str:
-        """Canonical text form, rooted on the least edge (leaf 1's edge)."""
-        if self.n == 2:
-            return "(1,2)"
+        """Canonical text form, rooted on the least edge (leaf 1's edge).
 
-        def render(v: int, parent: int) -> tuple[int, str]:
+        Each inner vertex writes its two subtrees in order of their least
+        leaf label.
+        """
+        rendered: dict[int, tuple[int, str]] = {}   # vertex -> (least label, text)
+        for v in self._postorder[:-1]:
             if v < self.n:
-                return v + 1, str(v + 1)
-            parts = sorted(render(u, v) for u, _ in self._nbrs[v] if u != parent)
-            return parts[0][0], f"({parts[0][1]},{parts[1][1]})"
-
-        inner_end = self._nbrs[0][0][0]
-        _, body = render(inner_end, 0)
-        return f"(1,{body})"
+                rendered[v] = (v + 1, str(v + 1))
+            else:
+                (low, left), (_, right) = sorted(rendered[u] for u, _ in self._children[v])
+                rendered[v] = (low, f"({left},{right})")
+        return f"(1,{rendered[self._children[0][0][0]][1]})"
 
 
 def parse_tree(text: str) -> Tree:
@@ -263,50 +258,54 @@ def parse_tree(text: str) -> Tree:
     the root edge survives as an ordinary edge.
     """
     s = "".join(text.split())
-    counter = itertools.count()
+    if not s:
+        raise TreeParseError("empty input")
     adj: dict[int, set[int]] = {}
     labels: dict[int, int] = {}
-
-    def new_vertex() -> int:
-        v = next(counter)
-        adj[v] = set()
-        return v
-
-    def parse_expr(i: int) -> tuple[int, int]:
+    open_pairs: list[list[int]] = []   # one list of finished operands per unclosed "("
+    i = 0
+    while True:
         if i >= len(s):
             raise TreeParseError("unexpected end of input")
         if s[i] == "(":
-            left, i = parse_expr(i + 1)
-            if i >= len(s) or s[i] != ",":
-                raise TreeParseError(f"expected ',' at position {i}")
-            right, i = parse_expr(i + 1)
-            if i >= len(s) or s[i] != ")":
-                raise TreeParseError(f"unbalanced parentheses at position {i}")
-            v = new_vertex()
-            adj[v].add(left)
-            adj[left].add(v)
-            adj[v].add(right)
-            adj[right].add(v)
-            return v, i + 1
+            open_pairs.append([])
+            i += 1
+            continue
         j = i
         while j < len(s) and s[j].isdigit():
             j += 1
         if j == i:
             raise TreeParseError(f"expected a leaf label at position {i}")
-        v = new_vertex()
+        v = len(adj)
+        adj[v] = set()
         labels[v] = int(s[i:j])
-        return v, j
-
-    if not s:
-        raise TreeParseError("empty input")
-    root, end = parse_expr(0)
-    if end != len(s):
-        raise TreeParseError(f"trailing characters after position {end}")
-    if root in labels:
+        i = j
+        # A finished operand either needs its right sibling or closes pairs.
+        while open_pairs:
+            pair = open_pairs[-1]
+            pair.append(v)
+            if len(pair) == 1:
+                if i >= len(s) or s[i] != ",":
+                    raise TreeParseError(f"expected ',' at position {i}")
+                i += 1
+                break
+            if i >= len(s) or s[i] != ")":
+                raise TreeParseError(f"unbalanced parentheses at position {i}")
+            open_pairs.pop()
+            v = len(adj)
+            adj[v] = set(pair)
+            for u in pair:
+                adj[u].add(v)
+            i += 1
+        else:
+            break  # every pair is closed: v is the root
+    if i != len(s):
+        raise TreeParseError(f"trailing characters after position {i}")
+    if v in labels:
         raise TreeParseError("a tree needs at least 2 leaves")
-    a, b = adj.pop(root)
-    adj[a].discard(root)
-    adj[b].discard(root)
+    a, b = adj.pop(v)
+    adj[a].discard(v)
+    adj[b].discard(v)
     adj[a].add(b)
     adj[b].add(a)
     return Tree(adj, labels)
@@ -359,6 +358,11 @@ def build_almost_perfect_binary(n: int) -> Tree:
     return parse_tree(expr(1, base))
 
 
+def _adjacency(tree: Tree) -> dict[int, set[int]]:
+    """Mutable vertex -> neighbour-set copy of the tree, in its own numbering."""
+    return {v: {u for u, _ in tree._nbrs[v]} for v in range(tree.num_vertices)}
+
+
 def relabel(tree: Tree, perm: Mapping[int, int] | Sequence[int]) -> Tree:
     """Same shape, leaf carrying label i now carries perm(i)."""
     if not isinstance(perm, Mapping):
@@ -367,9 +371,7 @@ def relabel(tree: Tree, perm: Mapping[int, int] | Sequence[int]) -> Tree:
         range(1, tree.n + 1)
     ):
         raise ValueError("perm must be a bijection on 1..n")
-    adj = {v: {u for u, _ in tree._nbrs[v]} for v in range(tree.num_vertices)}
-    labels = {v: perm[v + 1] for v in range(tree.n)}
-    return Tree(adj, labels)
+    return Tree(_adjacency(tree), {v: perm[v + 1] for v in range(tree.n)})
 
 
 def complement(tree: Tree, a: Iterable[int]) -> frozenset[int]:
@@ -380,15 +382,10 @@ def complement(tree: Tree, a: Iterable[int]) -> frozenset[int]:
 # -- tree generation ------------------------------------------------------
 
 
-def _adjacency_and_labels(tree: Tree) -> tuple[dict[int, set[int]], dict[int, int]]:
-    adj = {v: {u for u, _ in tree._nbrs[v]} for v in range(tree.num_vertices)}
-    labels = {v: v + 1 for v in range(tree.n)}
-    return adj, labels
-
-
 def _insert_leaf(tree: Tree, edge_index: int, label: int) -> Tree:
     """New tree with an extra leaf attached in the middle of an edge."""
-    adj, labels = _adjacency_and_labels(tree)
+    adj = _adjacency(tree)
+    labels = {v: v + 1 for v in range(tree.n)}
     u, v = tree._edge_ends[edge_index]
     mid = tree.num_vertices
     leaf = tree.num_vertices + 1

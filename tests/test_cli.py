@@ -1,15 +1,23 @@
 """End-to-end CLI behaviour: golden outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tncuts import build_train_track, random_binary_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+# 1500 leaves nest deeper than Python's recursion limit
+CAT1500 = build_train_track(1500).serialize()
 
 
 def run_cli(*args, check=True):
@@ -110,8 +118,6 @@ def test_malformed_model_is_input_error(tmp_path, text):
 
 def test_exit_code_resource_cap(tmp_path):
     # 13 leaves, dims 8: 8**13 entries blows the cap
-    from tncuts import build_train_track
-
     tree_text = build_train_track(13).serialize()
     model = {"tree": tree_text, "f": 2, "dims": {str(i): 8 for i in range(1, 14)}}
     path = tmp_path / "big.json"
@@ -119,6 +125,32 @@ def test_exit_code_resource_cap(tmp_path):
     out = run_cli("verify", "--model", str(path), "--subset", "1,2", check=False)
     assert out.returncode == 3
     assert b"cap" in out.stderr
+
+    # 70 leaves of dimension 1: one entry, but more axes than numpy allows
+    model = {"tree": build_train_track(70).serialize(), "f": 1}
+    path.write_text(json.dumps(model), encoding="utf-8")
+    out = run_cli("verify", "--model", str(path), "--subset", "1,2", check=False)
+    assert out.returncode == 3
+    assert out.stdout == b""
+    assert out.stderr.startswith(b"error: ") and out.stderr.count(b"\n") == 1
+    assert b"cap" in out.stderr
+
+
+def test_deep_caterpillar_commands(tmp_path):
+    tree_path = tmp_path / "cat1500.txt"
+    tree_path.write_text(CAT1500, encoding="utf-8")
+    model_path = tmp_path / "cat1500.json"
+    model_path.write_text(json.dumps({"tree": CAT1500, "f": 2}), encoding="utf-8")
+    subset = ",".join(map(str, range(1, 1501, 2)))
+    for args in (
+        ("minmono", "--tree", str(tree_path), "--subset", subset),
+        ("predict", "--model", str(model_path), "--subset", subset),
+        ("hardset", "--tree", str(tree_path)),
+    ):
+        out = run_cli(*args)
+        assert out.stderr == b""
+        assert out.stdout.count(b"\n") == 1
+        assert isinstance(json.loads(out.stdout), dict)
 
 
 def test_exit_code_zero_on_success():
@@ -143,3 +175,78 @@ def test_main_in_process_matches_subprocess(capsys):
     assert cli.main(["minmono", "--tree", str(ROOT / "inputs/cat4.txt"), "--subset", "1,3"]) == 0
     out = capsys.readouterr().out.encode()
     assert out == (GOLDEN / "minmono_cat4.json").read_bytes()
+
+
+_SMALL_INT = st.integers(-2, 4)
+_TREE_TEXT = st.one_of(
+    st.text(alphabet="(),0123456789 \n-x", max_size=40),
+    st.text(max_size=20),
+    st.builds(
+        lambda n, seed: random_binary_tree(n, seed).serialize(), st.integers(2, 30), st.integers(0, 2**32)
+    ),
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL_INT | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["tree", "f", "dims", "1", "2", "1-2"]) | st.text(max_size=4), inner, max_size=4
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _valid_model(draw):
+    # small trees and dims keep verify's dense tensors tiny
+    tree = random_binary_tree(draw(st.integers(2, 7)), draw(st.integers(0, 2**32)))
+    f = draw(_SMALL_INT | st.fixed_dictionaries({e.key: _SMALL_INT for e in tree.edges()}))
+    model = {"tree": tree.serialize(), "f": f}
+    if draw(st.booleans()):
+        model["dims"] = {str(lab): draw(_SMALL_INT) for lab in range(1, tree.n + 1)}
+    return json.dumps(model)
+
+
+_MODEL_TEXT = st.one_of(st.text(max_size=30), _JSON.map(json.dumps), _valid_model())
+# permscan and hackbusch are left out: their running time grows with n
+# without a cap (exhaustive permutations, the Hackbusch tree size).
+_COMMANDS = [
+    ("minmono", "--tree", "{tree}", "--subset", "{subset}"),
+    ("hardset", "--tree", "{tree}", "--r", "{int}"),
+    ("predict", "--model", "{model}", "--subset", "{subset}"),
+    ("verify", "--model", "{model}", "--subset", "{subset}", "--trials", "{int}"),
+    ("optimalize", "--model", "{model}"),
+    ("compare", "{model}", "{model}"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@example(command=_COMMANDS[0], tree_text=CAT1500, model_text="", subset="1,3,5", number="2")
+@example(command=_COMMANDS[2], tree_text="", subset="1,3", number="2",
+         model_text=json.dumps({"tree": CAT1500, "f": 2}))
+@example(command=_COMMANDS[3], tree_text="", subset="1,2", number="1",
+         model_text=json.dumps({"tree": build_train_track(70).serialize(), "f": 1}))
+@given(
+    command=st.sampled_from(_COMMANDS),
+    tree_text=_TREE_TEXT,
+    model_text=_MODEL_TEXT,
+    subset=st.text("0123456789, -", max_size=12),
+    number=st.sampled_from(["-1", "0", "1", "2", "x"]),
+)
+def test_cli_fuzz_exit_codes(tmp_path_factory, command, tree_text, model_text, subset, number):
+    from tncuts import cli
+
+    work = tmp_path_factory.mktemp("fuzz")
+    tree_path, model_path = work / "tree.txt", work / "model.json"
+    tree_path.write_text(tree_text, encoding="utf-8", errors="surrogatepass")
+    model_path.write_text(model_text, encoding="utf-8", errors="surrogatepass")
+    fill = {"{tree}": str(tree_path), "{model}": str(model_path), "{subset}": subset, "{int}": number}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([fill.get(arg, arg) for arg in command])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -113,13 +113,22 @@ def test_leaves_left_of():
 
 
 def test_edge_bipartition_properties():
-    for tree in (parse_tree(CAT4), build_train_track(7), build_almost_perfect_binary(9)):
+    trees = [parse_tree(CAT4), build_train_track(7), build_almost_perfect_binary(9)]
+    trees += all_binary_trees(6)
+    trees += [random_binary_tree(n, seed=seed) for n in (2, 3, 7, 13, 24, 40) for seed in range(3)]
+    for tree in trees:
+        keys = []
         for e in tree.edges():
             side = tree.leaves_left_of(e)
             other = complement(tree, side)
             assert side and other
             assert side | other == tree.leaves
             assert not side & other
+            # the canonical key is the smaller side by (size, sorted labels)
+            key = min((len(s), tuple(sorted(s))) for s in (side, other))
+            assert e.sort_key() == key
+            keys.append(key)
+        assert keys == sorted(keys)
 
 
 def test_relabel():
@@ -138,6 +147,12 @@ def test_serialize_round_trip_canonical():
         assert parse_tree(tree.serialize()) == tree
         # canonical form is a fixed point
         assert parse_tree(tree.serialize()).serialize() == tree.serialize()
+
+
+def test_serialize_round_trip_deep():
+    # deeper than Python's recursion limit: parsing and serialising are iterative
+    for tree in (build_train_track(1500), build_almost_perfect_binary(1366)):
+        assert parse_tree(tree.serialize()) == tree
 
 
 @settings(max_examples=60, deadline=None)
