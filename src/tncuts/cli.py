@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 input error, 2 internal assertion (landmark
 mismatch), 3 resource cap exceeded.  Every randomised command takes an
 explicit --seed (default 0); identical inputs and flags reproduce
 byte-identical output.
+
+Runaway inputs are capped (exit 3): ``verify --trials`` and ``permscan
+--mode sampled --trials`` at 100000, and ``hackbusch --n`` at 5461, the
+last leaf count of the sixth landmark interval.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from .models import (
 )
 from .oracle import DEFAULT_PRIME, SizeCapError, estimate_generic_rank
 from .trees import parse_tree
+
+
+_MAX_TRIALS = 100_000
+_MAX_HACKBUSCH_N = 5461
 
 
 class _CliError(ValueError):
@@ -49,6 +57,11 @@ def _parse_subset(text: str) -> frozenset[int]:
         return frozenset(int(part) for part in text.split(","))
     except ValueError:
         raise _CliError(f"bad subset {text!r}: expected comma-separated labels") from None
+
+
+def _check_cap(flag: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise SizeCapError(f"{flag} {value} exceeds the cap of {cap}")
 
 
 def _sorted_keys(edges: Iterable) -> list[str]:
@@ -81,6 +94,7 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    _check_cap("--trials", args.trials, _MAX_TRIALS)
     model = load_model(args.model)
     if args.r is not None:
         model = TnsModel(model.tree, {e: args.r for e in model.tree.edges()}, model.dims)
@@ -92,6 +106,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_hackbusch(args) -> dict:
+    _check_cap("--n", args.n, _MAX_HACKBUSCH_N)
     return hackbusch_verdict(args.n, args.r).to_json_dict()
 
 
@@ -115,6 +130,8 @@ def _cmd_optimalize(args) -> dict:
 
 
 def _cmd_permscan(args) -> dict:
+    if args.mode == "sampled":
+        _check_cap("--trials", args.trials, _MAX_TRIALS)
     tree = _load_tree(args.tree)
     result = min_exponent_over_permutations(tree, mode=args.mode, trials=args.trials, seed=args.seed)
     payload = {"n": tree.n, "mode": args.mode, "k_min": result.k_min, "witness": list(result.witness)}
@@ -147,12 +164,12 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--subset", required=True)
     p.add_argument("--r", type=int, default=None, help="override the model with a constant bond r")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=int, default=3, help=f"most samples drawn (at most {_MAX_TRIALS})")
     p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("hackbusch", _cmd_hackbusch, "bond-growth verdict for the balanced tree on n leaves")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"leaf count (at most {_MAX_HACKBUSCH_N})")
     p.add_argument("--r", type=int, default=2)
 
     p = add("compare", _cmd_compare, "necessary per-edge condition for model inclusion")
@@ -169,7 +186,7 @@ def build_parser() -> _Parser:
     p = add("permscan", _cmd_permscan, "minimum interval exponent over leaf permutations")
     p.add_argument("--tree", required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000, help=f"sampled permutations (at most {_MAX_TRIALS})")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

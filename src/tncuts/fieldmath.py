@@ -9,6 +9,7 @@ force the pure path regardless.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,8 +33,9 @@ def active_backend() -> str:
     return "compiled" if (_rankcore is not None and not _FORCE_PURE) else "pure"
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.2e18."""
+    """Deterministic Miller-Rabin, valid for n < 3.2e18; memoised per n."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):

@@ -10,11 +10,13 @@ genericity with failure probability on the order of (matrix size)/p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
 from typing import Iterable
 
 import numpy as np
 
+from .cuts import _cut_costs
 from .fieldmath import matmul_mod, rank_mod, validate_prime
 from .models import TnsModel
 from .rng import CounterRng, derive_seed
@@ -98,22 +100,20 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
     if total > SIZE_CAP:
         raise SizeCapError(f"dense tensor of {total} entries exceeds the cap of {SIZE_CAP}")
     extents = _bond_extents(model)
-    rng = CounterRng(seed)
-
-    cores: dict[int, np.ndarray] = {}
-    for v in range(n, tree.num_vertices):
-        edge_idx = sorted(ei for _, ei in tree._nbrs[v])
-        shape = tuple(extents[i] for i in edge_idx)
-        size = prod(shape)
-        if size > SIZE_CAP:
-            raise SizeCapError(f"core of {size} entries exceeds the cap of {SIZE_CAP}")
-        # axes reordered to (parent bond, child bonds in _children order)
-        order = [tree._parent_edge[v]] + [ei for _, ei in tree._children[v]]
-        cores[v] = rng.residues(size, p).reshape(shape).transpose([edge_idx.index(ei) for ei in order])
-    leaf_mats = []
-    for leaf in range(n):
-        shape = (model.dims[leaf + 1], extents[tree._nbrs[leaf][0][1]])
-        leaf_mats.append(rng.residues(prod(shape), p).reshape(shape))
+    core_edges = [sorted(ei for _, ei in tree._nbrs[v]) for v in range(n, tree.num_vertices)]
+    shapes = [tuple(extents[i] for i in edge_idx) for edge_idx in core_edges]
+    for shape in shapes:
+        if prod(shape) > SIZE_CAP:
+            raise SizeCapError(f"core of {prod(shape)} entries exceeds the cap of {SIZE_CAP}")
+    shapes += [(model.dims[leaf + 1], extents[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
+    # One draw sliced in the frozen order: residues(a) then residues(b)
+    # gives exactly the values of residues(a + b).
+    sizes = [prod(shape) for shape in shapes]
+    block = CounterRng(seed).residues(sum(sizes), p)
+    parts = [
+        block[end - size : end].reshape(shape) for shape, size, end in zip(shapes, sizes, accumulate(sizes))
+    ]
+    leaf_mats = parts[len(core_edges) :]
 
     # Leaf to root: each subtree tensor has its parent bond on axis 0 and
     # then one axis per subtree leaf, listed in ``labels``.
@@ -122,7 +122,10 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
         if v < n:
             subtree[v] = (leaf_mats[v].T, [v + 1])
             continue
-        arr, labels = cores[v], []
+        # core axes reordered to (parent bond, child bonds in _children order)
+        edge_idx = core_edges[v - n]
+        order = [tree._parent_edge[v]] + [ei for _, ei in tree._children[v]]
+        arr, labels = parts[v - n].transpose([edge_idx.index(ei) for ei in order]), []
         for child, _ in tree._children[v]:
             sub, sub_labels = subtree.pop(child)
             arr = _contract_axis1(arr, sub, p)
@@ -149,6 +152,21 @@ def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
     return rank_mod(mat, t.p)
 
 
+def _cut_bound(model: TnsModel, labels: frozenset[int]) -> int:
+    """Cheapest monochromatic cut product for A under the sampled bond extents.
+
+    Every tensor the sampler can draw has flattening rank at most this.
+    Cutting the leaf edges of A, or of its complement, shows that it is at
+    most min(rows, cols) as well.
+    """
+    tree = model.tree
+    amask = tree.mask_of(labels)
+    if amask == 0 or amask == tree._full_mask:
+        return 1
+    c0, c1 = _cut_costs(tree, amask, _bond_extents(model))
+    return c1[0] if amask & 1 else c0[0]
+
+
 def estimate_generic_rank(
     model: TnsModel,
     a: Iterable[int],
@@ -156,16 +174,24 @@ def estimate_generic_rank(
     seed: int = 0,
     p: int = DEFAULT_PRIME,
 ) -> int:
-    """Max flattening rank over independently seeded samples.
+    """Max flattening rank over at most ``trials`` independently seeded samples.
 
     A lower bound for the generic rank that meets it with overwhelming
     probability; trial i uses the derived seed ``derive_seed(seed, i)``.
+    Sampling stops early once a trial attains the cheapest monochromatic cut
+    product (over the sampled bond extents): no tensor of the model has a
+    larger rank, so the remaining trials could not raise the maximum and
+    the result equals the max over all ``trials`` samples.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     labels = frozenset(a)
-    best = 0
-    for i in range(trials):
+    best = flattening_rank(sample_tns_tensor(model, derive_seed(seed, 0), p), labels)
+    # Exact equality: a wrong bound that trial 0 misses runs every trial.
+    bound = _cut_bound(model, labels)
+    for i in range(1, trials):
+        if best == bound:
+            break
         t = sample_tns_tensor(model, derive_seed(seed, i), p)
         best = max(best, flattening_rank(t, labels))
     return best

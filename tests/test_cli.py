@@ -136,6 +136,25 @@ def test_exit_code_resource_cap(tmp_path):
     assert b"cap" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--model", "inputs/cat4_r2.json", "--subset", "1,3", "--trials", "100001"),
+        ("permscan", "--tree", "inputs/cat4.txt", "--mode", "sampled", "--trials", "100001"),
+        ("hackbusch", "--n", "5462"),
+    ],
+    ids=["verify_trials", "permscan_trials", "hackbusch_n"],
+)
+def test_runaway_inputs_hit_caps(capsys, args):
+    from tncuts import cli
+
+    assert cli.main([str(ROOT / arg) if arg.startswith("inputs/") else arg for arg in args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "exceeds the cap" in captured.err
+
+
 def test_deep_caterpillar_commands(tmp_path):
     tree_path = tmp_path / "cat1500.txt"
     tree_path.write_text(CAT1500, encoding="utf-8")
@@ -207,8 +226,6 @@ def _valid_model(draw):
 
 
 _MODEL_TEXT = st.one_of(st.text(max_size=30), _JSON.map(json.dumps), _valid_model())
-# permscan and hackbusch are left out: their running time grows with n
-# without a cap (exhaustive permutations, the Hackbusch tree size).
 _COMMANDS = [
     ("minmono", "--tree", "{tree}", "--subset", "{subset}"),
     ("hardset", "--tree", "{tree}", "--r", "{int}"),
@@ -216,6 +233,8 @@ _COMMANDS = [
     ("verify", "--model", "{model}", "--subset", "{subset}", "--trials", "{int}"),
     ("optimalize", "--model", "{model}"),
     ("compare", "{model}", "{model}"),
+    ("permscan", "--tree", "{tree}", "--mode", "sampled", "--trials", "{int}"),
+    ("hackbusch", "--n", "{int}"),
 ]
 
 
@@ -230,7 +249,7 @@ _COMMANDS = [
     tree_text=_TREE_TEXT,
     model_text=_MODEL_TEXT,
     subset=st.text("0123456789, -", max_size=12),
-    number=st.sampled_from(["-1", "0", "1", "2", "x"]),
+    number=st.sampled_from(["-1", "0", "1", "2", "x", "1000000"]),
 )
 def test_cli_fuzz_exit_codes(tmp_path_factory, command, tree_text, model_text, subset, number):
     from tncuts import cli

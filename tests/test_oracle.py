@@ -1,5 +1,7 @@
 """Oracle sampling, exact ranks, membership, and the field kernels."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from tncuts import (
     DenseTensor,
     SizeCapError,
     TnsModel,
+    all_binary_trees,
+    build_train_track,
     check_membership,
     complement,
     estimate_generic_rank,
@@ -22,6 +26,7 @@ from tncuts import (
     random_binary_tree,
     sample_tns_tensor,
 )
+from tncuts import oracle
 from tncuts.fieldmath import (
     compiled_available,
     is_prime,
@@ -65,6 +70,18 @@ def test_rng_residues_in_range():
     rng = CounterRng(5)
     vals = rng.residues(1000, 101)  # any prime-ish bound is fine for the range check
     assert vals.min() >= 0 and vals.max() < 101
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300), st.integers(0, 300))
+def test_rng_residues_split_matches_one_draw(seed, a, b):
+    # p = 3 * 2**61 rejects a quarter of the raw draws, so the split must
+    # neither skip nor over-consume stream values around rejections.
+    p = 3 << 61
+    split, whole = CounterRng(seed), CounterRng(seed)
+    parts = np.concatenate([split.residues(a, p), split.residues(b, p)])
+    assert np.array_equal(parts, whole.residues(a + b, p))
+    assert split._counter == whole._counter >= a + b
 
 
 # -- field kernels ------------------------------------------------------------
@@ -167,6 +184,35 @@ def test_sample_core_cap():
         sample_tns_tensor(model, seed=0)
 
 
+# SHA-256 of the corpus below, computed before the sampler drew each tensor
+# in one block: it pins the frozen draw order byte for byte.
+SAMPLE_DIGEST = "e1477e056d5b41abbe14d4a97c919d132637aaf903a58ab7e44383bf82c91aa2"
+
+
+def test_sampled_tensor_digest():
+    h = hashlib.sha256()
+
+    def add(model, seed, p=DEFAULT_PRIME):
+        t = sample_tns_tensor(model, seed, p)
+        h.update(repr(t.shape).encode())
+        h.update(t.data.tobytes())
+
+    trees = {n: sorted(all_binary_trees(n), key=lambda t: t.serialize()) for n in range(2, 7)}
+    for n in range(2, 6):
+        for tree in trees[n]:
+            for r in (1, 2, 3):
+                for seed in (0, 1):
+                    add(TnsModel.constant(tree, r), seed)
+    rng = CounterRng(4)
+    for i in range(80):
+        n = 2 + rng.randbelow(5)
+        tree = trees[n][rng.randbelow(len(trees[n]))]
+        f = {e: 1 + rng.randbelow(4) for e in tree.edges()}
+        dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}
+        add(TnsModel(tree, f, dims), i, 1000003 if i % 4 == 0 else DEFAULT_PRIME)
+    assert h.hexdigest() == SAMPLE_DIGEST
+
+
 def test_sample_prime_configurable():
     m = TnsModel.constant(CAT4, 2)
     t = sample_tns_tensor(m, seed=0, p=1000003)
@@ -208,6 +254,26 @@ def test_estimate_generic_rank_examples():
     assert estimate_generic_rank(m12, set(), trials=1, seed=0) == 1
     with pytest.raises(ValueError):
         estimate_generic_rank(m12, {1}, trials=0)
+
+
+def test_estimate_generic_rank_error_contract(monkeypatch):
+    m = TnsModel.constant(CAT4, 2)
+    for bad in ({0}, {5}, {1, 9}):
+        with pytest.raises(ValueError, match="unknown leaf label"):
+            estimate_generic_rank(m, bad)
+    with pytest.raises(ValueError, match="at least one trial"):
+        estimate_generic_rank(m, {1}, trials=0)
+    estimate_generic_rank(m, {1}, p=DEFAULT_PRIME)  # is_prime now holds the int key
+    for bad_p in (10**6, float(DEFAULT_PRIME)):
+        with pytest.raises(ValueError, match="field modulus"):
+            estimate_generic_rank(m, {1}, p=bad_p)
+
+    def no_draws(self, count, p):
+        raise AssertionError("drew residues before the size cap")
+
+    monkeypatch.setattr(CounterRng, "residues", no_draws)
+    with pytest.raises(SizeCapError):
+        estimate_generic_rank(TnsModel.constant(build_train_track(65), 1), {1})
 
 
 def test_check_membership_examples():
@@ -281,3 +347,74 @@ def test_exactness_small_sweep():
         for bits in range(1 << 5):
             a = {i + 1 for i in range(5) if (bits >> i) & 1}
             assert estimate_generic_rank(model, a, trials=3, seed=0) == 2 ** min_mono_cut(tree, a).size
+
+
+# -- early stop at the cut bound --------------------------------------------------
+
+
+def all_trials_rank(tensors, a):
+    """Test reference: the max flattening rank over every sampled trial."""
+    return max(flattening_rank(t, a) for t in tensors)
+
+
+def trial_tensors(model, trials, seed):
+    return [sample_tns_tensor(model, derive_seed(seed, i)) for i in range(trials)]
+
+
+@pytest.fixture(params=[0, -1, 1], ids=["bound", "bound_low", "bound_high"])
+def bound_shift(request, monkeypatch):
+    # A wrong bound must not change the result: trial 0 misses it, so every
+    # trial runs and the cut side stays cross-checked by the samples.
+    if request.param:
+        real = oracle._cut_bound
+        monkeypatch.setattr(oracle, "_cut_bound", lambda model, labels: real(model, labels) + request.param)
+    return request.param
+
+
+def test_early_stop_matches_all_trials_small_trees(bound_shift):
+    for n in range(2, 6):
+        for tree in all_binary_trees(n):
+            for r in (1, 2, 3):
+                model = TnsModel.constant(tree, r)
+                for seed in (0, 7):
+                    tensors = trial_tensors(model, 3, seed)
+                    for bits in range(1 << n):
+                        a = {i + 1 for i in range(n) if (bits >> i) & 1}
+                        got = estimate_generic_rank(model, a, trials=3, seed=seed)
+                        assert got == all_trials_rank(tensors, a), (tree.serialize(), r, seed, a)
+
+
+def test_early_stop_matches_all_trials_random_models(bound_shift):
+    rng = CounterRng(2718)
+    for i in range(300):
+        n = 3 + rng.randbelow(5)
+        tree = random_binary_tree(n, rng=rng)
+        f = {e: 1 + rng.randbelow(4) for e in tree.edges()}
+        while len(set(f.values())) < 2:
+            f = {e: 1 + rng.randbelow(4) for e in tree.edges()}
+        dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}  # often below f
+        model = TnsModel(tree, f, dims)
+        bits = rng.randbelow(1 << n)
+        a = {j + 1 for j in range(n) if (bits >> j) & 1}
+        tensors = trial_tensors(model, 5, i)
+        for trials in (1, 2, 3, 5):
+            got = estimate_generic_rank(model, a, trials=trials, seed=i)
+            assert got == all_trials_rank(tensors[:trials], a), (tree.serialize(), f, dims, a, trials)
+
+
+@pytest.mark.parametrize("shift, samples", [(0, 1), (1, 3)])
+def test_early_stop_draws_one_sample_at_the_bound(monkeypatch, shift, samples):
+    calls = []
+    real_sample, real_bound = oracle.sample_tns_tensor, oracle._cut_bound
+
+    def counted(*args):
+        calls.append(args)
+        return real_sample(*args)
+
+    monkeypatch.setattr(oracle, "sample_tns_tensor", counted)
+    monkeypatch.setattr(oracle, "_cut_bound", lambda model, labels: real_bound(model, labels) + shift)
+    m12 = TnsModel.constant(EX12, 2)
+    for model, a, want in [(TnsModel.constant(CAT4, 2), {1, 3}, 4), (m12, {1, 4, 8, 9, 11, 12}, 32), (m12, set(), 1)]:
+        calls.clear()
+        assert estimate_generic_rank(model, a, trials=3, seed=0) == want
+        assert len(calls) == samples
