@@ -7,7 +7,10 @@ byte-identical output.
 
 Runaway inputs are capped (exit 3): ``verify --trials`` and ``permscan
 --mode sampled --trials`` at 100000, and ``hackbusch --n`` at 5461, the
-last leaf count of the sixth landmark interval.
+last leaf count of the sixth landmark interval.  ``permscan --mode
+sampled`` also caps its work, trials x n^2 for a tree of n leaves, at
+2 * 10^7: each trial relabels the tree and computes its exponent, which
+is quadratic in n.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .trees import parse_tree
 
 _MAX_TRIALS = 100_000
 _MAX_HACKBUSCH_N = 5461
+_MAX_PERMSCAN_WORK = 20_000_000  # trials x n^2; about 20 s at the cap
 
 
 class _CliError(ValueError):
@@ -133,6 +137,8 @@ def _cmd_permscan(args) -> dict:
     if args.mode == "sampled":
         _check_cap("--trials", args.trials, _MAX_TRIALS)
     tree = _load_tree(args.tree)
+    if args.mode == "sampled":
+        _check_cap("--trials x n^2", args.trials * tree.n**2, _MAX_PERMSCAN_WORK)
     result = min_exponent_over_permutations(tree, mode=args.mode, trials=args.trials, seed=args.seed)
     payload = {"n": tree.n, "mode": args.mode, "k_min": result.k_min, "witness": list(result.witness)}
     if args.mode == "sampled":
@@ -186,7 +192,8 @@ def build_parser() -> _Parser:
     p = add("permscan", _cmd_permscan, "minimum interval exponent over leaf permutations")
     p.add_argument("--tree", required=True)
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
-    p.add_argument("--trials", type=int, default=1000, help=f"sampled permutations (at most {_MAX_TRIALS})")
+    p.add_argument("--trials", type=int, default=1000,
+                   help=f"sampled permutations (at most {_MAX_TRIALS}; trials x n^2 at most {_MAX_PERMSCAN_WORK})")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -1,36 +1,22 @@
 """Exact linear algebra over GF(p) for word-sized primes (p < 2**31).
 
-The elimination kernel is the hot loop of the rank oracle.  A compiled
-version (tncuts._rankcore) is used when the extension built; otherwise the
-vectorised numpy implementation below takes over.  Set TNCUTS_PURE=1 to
-force the pure path regardless.
+The elimination kernel is the hot loop of the rank oracle; it is the
+vectorised numpy row elimination below.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 
 import numpy as np
-
-try:
-    from . import _rankcore
-except ImportError:
-    _rankcore = None
-
-_FORCE_PURE = bool(os.environ.get("TNCUTS_PURE"))
 
 MAX_PRIME = (1 << 31) - 1
 MIN_PRIME = 10**6
 
 
-def compiled_available() -> bool:
-    return _rankcore is not None
-
-
 def active_backend() -> str:
-    """Which rank kernel dispatches: "compiled" or "pure"."""
-    return "compiled" if (_rankcore is not None and not _FORCE_PURE) else "pure"
+    """Name of the rank kernel, recorded with benchmark runs: always "pure"."""
+    return "pure"
 
 
 @lru_cache(maxsize=64)
@@ -68,7 +54,7 @@ def validate_prime(p: int) -> int:
     return p
 
 
-def rank_mod_pure(matrix: np.ndarray, p: int) -> int:
+def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) by row elimination (numpy, exact)."""
     a = np.array(matrix, dtype=np.int64)
     if a.ndim != 2:
@@ -95,21 +81,6 @@ def rank_mod_pure(matrix: np.ndarray, p: int) -> int:
         a[rank + 1 :, col:] = (a[rank + 1 :, col:] - factors[:, None] * a[rank, col:]) % p
         rank += 1
     return rank
-
-
-def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p); dispatches to the compiled kernel when available."""
-    if _rankcore is None or _FORCE_PURE:
-        return rank_mod_pure(matrix, p)
-    a = np.array(matrix, dtype=np.int64, order="C")
-    if a.ndim != 2:
-        raise ValueError("rank_mod expects a 2-d array")
-    a %= p
-    if a.shape[0] > a.shape[1]:
-        a = np.ascontiguousarray(a.T)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    return _rankcore.rank_mod(a, p)
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

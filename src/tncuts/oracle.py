@@ -54,14 +54,6 @@ class DenseTensor:
     def is_zero(self) -> bool:
         return not self.data.any()
 
-    def dump_text(self) -> str:
-        """Debug dump: shape and prime, then one row per last-axis slice."""
-        lines = [f"shape {' '.join(map(str, self.shape))} p {self.p}"]
-        flat = self.data.reshape(-1, self.shape[-1])
-        for row in flat:
-            lines.append(" ".join(map(str, row)))
-        return "\n".join(lines) + "\n"
-
 
 def _bond_extents(model: TnsModel) -> list[int]:
     tree = model.tree

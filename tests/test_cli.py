@@ -142,13 +142,17 @@ def test_exit_code_resource_cap(tmp_path):
         ("verify", "--model", "inputs/cat4_r2.json", "--subset", "1,3", "--trials", "100001"),
         ("permscan", "--tree", "inputs/cat4.txt", "--mode", "sampled", "--trials", "100001"),
         ("hackbusch", "--n", "5462"),
+        # 9 x 1500^2 trial work: the trials cap alone would allow hours of relabelling
+        ("permscan", "--tree", "cat1500.txt", "--mode", "sampled", "--trials", "9"),
     ],
-    ids=["verify_trials", "permscan_trials", "hackbusch_n"],
+    ids=["verify_trials", "permscan_trials", "hackbusch_n", "permscan_work"],
 )
-def test_runaway_inputs_hit_caps(capsys, args):
+def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
     from tncuts import cli
 
-    assert cli.main([str(ROOT / arg) if arg.startswith("inputs/") else arg for arg in args]) == 3
+    (tmp_path / "cat1500.txt").write_text(CAT1500, encoding="utf-8")
+    argv = [str(ROOT / arg) if arg.startswith("inputs/") else arg for arg in args]
+    assert cli.main([str(tmp_path / arg) if arg == "cat1500.txt" else arg for arg in argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

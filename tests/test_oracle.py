@@ -27,14 +27,7 @@ from tncuts import (
     sample_tns_tensor,
 )
 from tncuts import oracle
-from tncuts.fieldmath import (
-    compiled_available,
-    is_prime,
-    matmul_mod,
-    rank_mod,
-    rank_mod_pure,
-    validate_prime,
-)
+from tncuts.fieldmath import is_prime, matmul_mod, rank_mod, validate_prime
 from tncuts.rng import derive_seed, mix64
 from tncuts.trees import EdgeId
 
@@ -115,21 +108,33 @@ def test_rank_kernels_known_rank(p):
             if k == 0
             else _known_rank_matrix(rng, m, n, k, p)
         )
-        assert rank_mod_pure(mat, p) == k
         assert rank_mod(mat, p) == k
 
 
-@pytest.mark.skipif(not compiled_available(), reason="compiled kernel not built")
-def test_compiled_and_pure_agree():
-    from tncuts import _rankcore
+P = DEFAULT_PRIME
 
-    rng = np.random.default_rng(1)
-    for _ in range(30):
-        m, n = rng.integers(1, 40, size=2)
-        mat = rng.integers(0, DEFAULT_PRIME, size=(m, n), dtype=np.int64)
-        pure = rank_mod_pure(mat, DEFAULT_PRIME)
-        compiled = _rankcore.rank_mod(np.ascontiguousarray(mat.copy()), DEFAULT_PRIME)
-        assert pure == compiled
+
+@pytest.mark.parametrize(
+    "matrix, want",
+    [
+        (np.ones(3, dtype=np.int64), ValueError),
+        (np.ones((2, 2, 2), dtype=np.int64), ValueError),
+        (np.zeros((0, 5), dtype=np.int64), 0),
+        (np.zeros((5, 0), dtype=np.int64), 0),
+        (np.array([[P, -1], [2 * P + 1, P - 1]], dtype=np.int64), 2),  # reduces to [[0, P-1], [1, P-1]]
+        (np.array([[P, 0], [0, -P]], dtype=np.int64), 0),  # reduces to zero
+        ([[1, 2], [3, 4]], 2),
+    ],
+    ids=["1d", "3d", "0x5", "5x0", "unreduced", "multiples_of_p", "nested_list"],
+)
+def test_rank_mod_input_contract(matrix, want):
+    before = np.array(matrix, copy=True)
+    if want is ValueError:
+        with pytest.raises(ValueError, match="rank_mod expects a 2-d array"):
+            rank_mod(matrix, P)
+    else:
+        assert rank_mod(matrix, P) == want
+    assert np.array_equal(np.asarray(matrix), before)  # the caller's array is left as it was
 
 
 def test_matmul_mod_exact():
@@ -305,14 +310,6 @@ def test_kron_examples():
 
     with pytest.raises(ValueError):
         kron(t1, sample_tns_tensor(m, seed=0, p=1000003))
-
-
-def test_dump_text():
-    t = sample_tns_tensor(TnsModel.constant(parse_tree("(1,2)"), 2), seed=0)
-    text = t.dump_text()
-    lines = text.splitlines()
-    assert lines[0] == f"shape 2 2 p {DEFAULT_PRIME}"
-    assert len(lines) == 3 and all(len(row.split()) == 2 for row in lines[1:])
 
 
 # -- oracle-level properties ----------------------------------------------------
