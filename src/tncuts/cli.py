@@ -9,8 +9,8 @@ Runaway inputs are capped (exit 3): ``verify --trials`` and ``permscan
 --mode sampled --trials`` at 100000, and ``hackbusch --n`` at 5461, the
 last leaf count of the sixth landmark interval.  ``permscan --mode
 sampled`` also caps its work, trials x n^2 for a tree of n leaves, at
-2 * 10^7: each trial relabels the tree and computes its exponent, which
-is quadratic in n.
+2 * 10^7: each trial computes the exponent of one leaf order, one cut DP
+per prefix, which is quadratic in n.
 """
 
 from __future__ import annotations

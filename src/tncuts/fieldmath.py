@@ -63,8 +63,6 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     if a.shape[0] > a.shape[1]:
         a = a.T.copy()
     m, k = a.shape
-    if m == 0 or k == 0:
-        return 0
     rank = 0
     for col in range(k):
         if rank == m:

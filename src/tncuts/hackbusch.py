@@ -10,11 +10,11 @@ a_k = 4^0 + ... + 4^k mark where the exponent of the balanced family jumps.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .cuts import _min_mono_size
 from .rng import CounterRng
-from .trees import Tree, build_almost_perfect_binary, relabel
+from .trees import Tree, build_almost_perfect_binary
 
 
 class LandmarkMismatchError(RuntimeError):
@@ -45,22 +45,27 @@ class ExponentResult(NamedTuple):
     witness_j: int
 
 
+def _prefix_exponent(tree: Tree, order: Sequence[int]) -> ExponentResult:
+    """tt_exponent over the prefixes of ``order``, a list of leaf vertices (label - 1)."""
+    best = 0
+    witness = 1
+    prefix = 0
+    for j in range(1, tree.n):
+        prefix |= 1 << order[j - 1]
+        size = _min_mono_size(tree, prefix)
+        if size > best:
+            best = size
+            witness = j
+    return ExponentResult(best, witness)
+
+
 def tt_exponent(tree: Tree) -> ExponentResult:
     """Largest minimal monochromatic cut over prefixes {1..j}, 1 <= j < n.
 
     The leaf labelling is the ordering.  witness_j is the smallest j
     attaining the maximum.
     """
-    best = 0
-    witness = 1
-    prefix = 0
-    for j in range(1, tree.n):
-        prefix |= 1 << (j - 1)
-        size = _min_mono_size(tree, prefix)
-        if size > best:
-            best = size
-            witness = j
-    return ExponentResult(best, witness)
+    return _prefix_exponent(tree, range(tree.n))
 
 
 class PermScanResult(NamedTuple):
@@ -103,7 +108,9 @@ def min_exponent_over_permutations(
     best: int | None = None
     witness: tuple[int, ...] | None = None
     for perm in candidates:
-        k, _ = tt_exponent(relabel(tree, perm))
+        # tt_exponent(relabel(tree, perm)): the relabelled prefix {1..j} is the set
+        # of leaves with new labels <= j, and cut sizes do not depend on labels.
+        k, _ = _prefix_exponent(tree, sorted(range(n), key=perm.__getitem__))
         if best is None or k < best:
             best, witness = k, perm
             if best == 1:

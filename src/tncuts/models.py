@@ -3,18 +3,18 @@
 A model is a tree, a bond function f >= 1 on its edges, and a physical
 dimension per leaf.  The generic flattening rank of the model at a leaf
 subset A is governed by the cheapest monochromatic cut for A, which is
-what predict_rank computes; optimalize shrinks f to the smallest function
-with the same reachable set of tensors.
+what predict_rank computes.  Over the bonds clamped at each leaf edge by
+its leaf's dimension, that cut is the oracle's stopping bound, and at
+each edge's own bipartition it is the optimal bond (optimalize).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
 from typing import Iterable, Mapping
 
-from .cuts import min_product_cut
+from .cuts import _cut_costs, min_product_cut
 from .trees import EdgeId, Tree, _adjacency, parse_tree
 
 
@@ -150,32 +150,52 @@ def predict_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:
 # -- optimal bond function -----------------------------------------------------
 
 
+def _clamped_bonds(model: TnsModel) -> list[int]:
+    """Bonds in canonical edge order, each leaf edge's clamped by its leaf's dimension."""
+    tree = model.tree
+    bonds = []
+    for eid, (u, v) in zip(tree.edges(), tree._edge_ends):
+        bond = model.f[eid]
+        for end in (u, v):
+            if end < tree.n:
+                bond = min(bond, model.dims[end + 1])
+        bonds.append(bond)
+    return bonds
+
+
+def _cut_bound(model: TnsModel, amask: int) -> int:
+    """Cheapest monochromatic cut product for the leaf mask over the clamped bonds.
+
+    Every tensor of the model has flattening rank at most this.  Cutting the
+    leaf edges of A, or of its complement, shows that it is at most
+    min(rows, cols) as well.
+    """
+    tree = model.tree
+    if amask == 0 or amask == tree._full_mask:
+        return 1
+    c0, c1 = _cut_costs(tree, amask, _clamped_bonds(model))
+    return c1[0] if amask & 1 else c0[0]
+
+
 def optimalize(model: TnsModel) -> TnsModel:
     """Smallest pointwise bond function defining the same set of tensors.
 
-    Fixed point of clamping every edge value by the cheapest monochromatic
-    cut for its own bipartition and by the dimension products of the two
-    sides.  Idempotent, never increases f, never drops below 1.
+    Edge e gets h(e) = ``_cut_bound`` of its own bipartition, the cheapest
+    cut over the bonds g clamped at the leaves.  h is the fixed point f* of
+    clamping each edge by its bipartition's cheapest cut and by the
+    dimension products of its two sides:
+
+    - f* >= h: clamping keeps f >= h.  Cutting e alone, or the leaf edges
+      of a side, is a cut; and for any cut C of a side, cheapest cuts over
+      g of the sides of each c in C together cut that side, so its cost
+      over g is at most the product of h, hence of f, over C.
+    - f* <= h: f* <= g pointwise, and f*(e) is at most its bipartition's
+      cheapest cut over f*.
+
+    Idempotent, never increases f, never drops below 1.
     """
     tree = model.tree
-    f = dict(model.f)
-    dim_bound = {}
-    for eid in tree.edges():
-        side = tree.leaves_left_of(eid)
-        other = tree.leaves - side
-        dim_bound[eid] = min(
-            prod(model.dims[lab] for lab in side),
-            prod(model.dims[lab] for lab in other),
-        )
-    changed = True
-    while changed:
-        changed = False
-        for eid in tree.edges():
-            best = min_product_cut(tree, tree.leaves_left_of(eid), f).product
-            new = min(f[eid], best, dim_bound[eid])
-            if new < f[eid]:
-                f[eid] = new
-                changed = True
+    f = {eid: _cut_bound(model, side) for eid, side in zip(tree.edges(), tree._edge_sides)}
     return TnsModel(tree, f, dict(model.dims))
 
 

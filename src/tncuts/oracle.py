@@ -16,9 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .cuts import _cut_costs
 from .fieldmath import matmul_mod, rank_mod, validate_prime
-from .models import TnsModel
+from .models import TnsModel, _clamped_bonds, _cut_bound
 from .rng import CounterRng, derive_seed
 
 DEFAULT_PRIME = (1 << 31) - 1
@@ -55,19 +54,6 @@ class DenseTensor:
         return not self.data.any()
 
 
-def _bond_extents(model: TnsModel) -> list[int]:
-    tree = model.tree
-    extents = []
-    for i, eid in enumerate(tree.edges()):
-        u, v = tree._edge_ends[i]
-        extent = model.f[eid]
-        for end in (u, v):
-            if end < tree.n:
-                extent = min(extent, model.dims[end + 1])
-        extents.append(extent)
-    return extents
-
-
 def _contract_axis1(arr: np.ndarray, other: np.ndarray, p: int) -> np.ndarray:
     """Contract axis 1 of ``arr`` with axis 0 of ``other``; other's remaining
     axes are appended after arr's."""
@@ -91,13 +77,13 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
     total = prod(model.shape())
     if total > SIZE_CAP:
         raise SizeCapError(f"dense tensor of {total} entries exceeds the cap of {SIZE_CAP}")
-    extents = _bond_extents(model)
+    bonds = _clamped_bonds(model)
     core_edges = [sorted(ei for _, ei in tree._nbrs[v]) for v in range(n, tree.num_vertices)]
-    shapes = [tuple(extents[i] for i in edge_idx) for edge_idx in core_edges]
+    shapes = [tuple(bonds[i] for i in edge_idx) for edge_idx in core_edges]
     for shape in shapes:
         if prod(shape) > SIZE_CAP:
             raise SizeCapError(f"core of {prod(shape)} entries exceeds the cap of {SIZE_CAP}")
-    shapes += [(model.dims[leaf + 1], extents[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
+    shapes += [(model.dims[leaf + 1], bonds[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
     # One draw sliced in the frozen order: residues(a) then residues(b)
     # gives exactly the values of residues(a + b).
     sizes = [prod(shape) for shape in shapes]
@@ -144,21 +130,6 @@ def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
     return rank_mod(mat, t.p)
 
 
-def _cut_bound(model: TnsModel, labels: frozenset[int]) -> int:
-    """Cheapest monochromatic cut product for A under the sampled bond extents.
-
-    Every tensor the sampler can draw has flattening rank at most this.
-    Cutting the leaf edges of A, or of its complement, shows that it is at
-    most min(rows, cols) as well.
-    """
-    tree = model.tree
-    amask = tree.mask_of(labels)
-    if amask == 0 or amask == tree._full_mask:
-        return 1
-    c0, c1 = _cut_costs(tree, amask, _bond_extents(model))
-    return c1[0] if amask & 1 else c0[0]
-
-
 def estimate_generic_rank(
     model: TnsModel,
     a: Iterable[int],
@@ -170,17 +141,17 @@ def estimate_generic_rank(
 
     A lower bound for the generic rank that meets it with overwhelming
     probability; trial i uses the derived seed ``derive_seed(seed, i)``.
-    Sampling stops early once a trial attains the cheapest monochromatic cut
-    product (over the sampled bond extents): no tensor of the model has a
-    larger rank, so the remaining trials could not raise the maximum and
-    the result equals the max over all ``trials`` samples.
+    Sampling stops early once a trial attains the min-product cut of the
+    optimalised model (over the clamped bonds the sampler uses): no tensor
+    of the model has a larger rank, so the remaining trials could not raise
+    the maximum and the result equals the max over all ``trials`` samples.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     labels = frozenset(a)
     best = flattening_rank(sample_tns_tensor(model, derive_seed(seed, 0), p), labels)
     # Exact equality: a wrong bound that trial 0 misses runs every trial.
-    bound = _cut_bound(model, labels)
+    bound = _cut_bound(model, model.tree.mask_of(labels))
     for i in range(1, trials):
         if best == bound:
             break

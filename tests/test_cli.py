@@ -142,7 +142,7 @@ def test_exit_code_resource_cap(tmp_path):
         ("verify", "--model", "inputs/cat4_r2.json", "--subset", "1,3", "--trials", "100001"),
         ("permscan", "--tree", "inputs/cat4.txt", "--mode", "sampled", "--trials", "100001"),
         ("hackbusch", "--n", "5462"),
-        # 9 x 1500^2 trial work: the trials cap alone would allow hours of relabelling
+        # 9 x 1500^2 trial work: the trials cap alone would allow hours of prefix scans
         ("permscan", "--tree", "cat1500.txt", "--mode", "sampled", "--trials", "9"),
     ],
     ids=["verify_trials", "permscan_trials", "hackbusch_n", "permscan_work"],

@@ -1,11 +1,14 @@
 """Landmark sequence, interval exponents, and bond-growth verdicts."""
 
+from itertools import permutations
+
 import pytest
 
 from tncuts import (
     LandmarkMismatchError,
     TnsModel,
     a_seq,
+    all_binary_trees,
     build_almost_perfect_binary,
     build_train_track,
     complement,
@@ -15,8 +18,10 @@ from tncuts import (
     min_exponent_over_permutations,
     min_mono_cut,
     relabel,
+    tree_shapes,
     tt_exponent,
 )
+from tncuts.hackbusch import _prefix_exponent
 
 
 def test_a_seq_values():
@@ -81,6 +86,21 @@ def test_min_exponent_sampled_mode():
     assert res.k_min == 2
     assert min_exponent_over_permutations(tree, "sampled", trials=60, seed=1) == res
     assert tt_exponent(relabel(tree, res.witness)).k == res.k_min
+
+
+def test_permscan_reads_preimage_prefixes():
+    # Every labelled tree of up to 5 leaves and every 6-leaf shape (each
+    # 6-leaf tree is a relabelling of one), under every permutation.
+    for tree in [t for n in range(2, 6) for t in all_binary_trees(n)] + tree_shapes(6):
+        n = tree.n
+        best = None
+        for perm in permutations(range(1, n + 1)):
+            want = tt_exponent(relabel(tree, perm))
+            got = _prefix_exponent(tree, sorted(range(n), key=perm.__getitem__))
+            assert got == want, (tree.serialize(), perm)
+            if best is None or want.k < best[0]:
+                best = (want.k, perm)
+        assert min_exponent_over_permutations(tree, "exhaustive") == best, tree.serialize()
 
 
 def test_min_exponent_guards():

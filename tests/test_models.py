@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cut_oracle import brute_force_min_mono
+from fixed_point import fixed_point_optimalize
 from tncuts import (
     CounterRng,
     EdgeId,
@@ -101,6 +102,19 @@ def test_optimalize_idempotent_and_shrinking(seed):
     assert optimalize(opt).f == opt.f
     assert all(1 <= opt.f[e] <= m.f[e] for e in m.tree.edges())
     assert opt.dims == m.dims and opt.tree == m.tree
+
+
+def test_optimalize_matches_fixed_point():
+    # Random trees of 2-12 leaves, then caterpillars and balanced trees of
+    # up to 40; dims of 1 and dims below f are frequent.
+    rng = CounterRng(1106)
+    trees = [random_binary_tree(2 + i % 11, rng=rng) for i in range(330)]
+    trees += [build(n) for n in (5, 13, 22, 31, 40) for build in (build_train_track, build_almost_perfect_binary)]
+    for tree in trees:
+        f = {e: 1 + rng.randbelow(9) for e in tree.edges()}
+        dims = {lab: 1 + rng.randbelow(4) for lab in range(1, tree.n + 1)}
+        model = TnsModel(tree, f, dims)
+        assert optimalize(model).f == fixed_point_optimalize(model).f, (tree.serialize(), f, dims)
 
 
 def test_compare_models_examples():

@@ -21,6 +21,8 @@ from tncuts import (
     flattening_rank,
     kron,
     min_mono_cut,
+    min_product_cut,
+    optimalize,
     parse_tree,
     predict_rank,
     random_binary_tree,
@@ -352,6 +354,23 @@ def test_exactness_small_sweep():
 def all_trials_rank(tensors, a):
     """Test reference: the max flattening rank over every sampled trial."""
     return max(flattening_rank(t, a) for t in tensors)
+
+
+def test_cut_bound_is_the_optimalised_cut():
+    # The stopping bound is the min-product cut of the optimalised model.
+    rng = CounterRng(2024)
+    for _ in range(300):
+        n = 2 + rng.randbelow(9)
+        tree = random_binary_tree(n, rng=rng)
+        f = {e: 1 + rng.randbelow(6) for e in tree.edges()}
+        dims = {lab: 1 + rng.randbelow(4) for lab in range(1, n + 1)}  # often below f
+        model = TnsModel(tree, f, dims)
+        opt_f = optimalize(model).f
+        for _ in range(4):
+            amask = rng.randbelow(1 << n)
+            a = tree.labels_of_mask(amask)
+            want = min_product_cut(tree, a, opt_f).product
+            assert oracle._cut_bound(model, amask) == want, (tree.serialize(), f, dims, a)
 
 
 def trial_tensors(model, trials, seed):
