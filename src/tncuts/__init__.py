@@ -5,6 +5,8 @@ train-track versus balanced-tree bond growth, model-inclusion bounds, and
 an exact prime-field rank oracle that cross-checks every prediction.
 """
 
+from importlib import import_module
+
 from .cuts import (
     CutResult,
     ProductCut,
@@ -14,7 +16,7 @@ from .cuts import (
     verify_colour_cut,
     verify_mono_cut,
 )
-from .fieldmath import active_backend, rank_mod
+from .fieldmath import DEFAULT_PRIME, SizeCapError, active_backend, rank_mod
 from .hackbusch import (
     ExponentResult,
     LandmarkMismatchError,
@@ -38,17 +40,6 @@ from .models import (
     optimalize,
     predict_rank,
 )
-from .oracle import (
-    DEFAULT_PRIME,
-    SIZE_CAP,
-    DenseTensor,
-    SizeCapError,
-    check_membership,
-    estimate_generic_rank,
-    flattening_rank,
-    kron,
-    sample_tns_tensor,
-)
 from .rng import CounterRng, derive_seed
 from .trees import (
     EdgeId,
@@ -65,6 +56,17 @@ from .trees import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The oracle imports numpy, which takes longer to load than the rest of
+    # the package, so its names (PEP 562) and the module load on first access.
+    if name != "oracle" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = import_module(".oracle", __name__)
+    globals().update((attr, getattr(oracle, attr)) for attr in __all__ if attr not in globals())
+    return globals()[name]
+
 
 __all__ = [
     "CounterRng",

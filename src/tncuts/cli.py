@@ -21,6 +21,7 @@ import sys
 from typing import Iterable
 
 from .cuts import max_colour_cut, min_mono_cut
+from .fieldmath import DEFAULT_PRIME, SizeCapError
 from .hackbusch import LandmarkMismatchError, hackbusch_verdict, min_exponent_over_permutations
 from .models import (
     TnsModel,
@@ -30,7 +31,6 @@ from .models import (
     optimalize,
     predict_rank,
 )
-from .oracle import DEFAULT_PRIME, SizeCapError, estimate_generic_rank
 from .trees import parse_tree
 
 
@@ -98,6 +98,7 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from .oracle import estimate_generic_rank  # the one command that loads numpy
     _check_cap("--trials", args.trials, _MAX_TRIALS)
     model = load_model(args.model)
     if args.r is not None:

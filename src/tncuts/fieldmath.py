@@ -1,17 +1,26 @@
 """Exact linear algebra over GF(p) for word-sized primes (p < 2**31).
 
 The elimination kernel is the hot loop of the rank oracle; it is the
-vectorised numpy row elimination below.
+vectorised numpy row elimination below.  The kernels import numpy on first
+call: it takes longer to load than the rest of the package, and only
+``verify`` among the CLI commands needs it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_PRIME = (1 << 31) - 1
 MIN_PRIME = 10**6
+DEFAULT_PRIME = MAX_PRIME
+
+
+class SizeCapError(RuntimeError):
+    """An input would exceed a resource cap (the oracle's dense sizes, the CLI's flags)."""
 
 
 def active_backend() -> str:
@@ -56,6 +65,7 @@ def validate_prime(p: int) -> int:
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) by row elimination (numpy, exact)."""
+    import numpy as np
     a = np.array(matrix, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("rank_mod expects a 2-d array")
@@ -87,6 +97,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     Accumulates two products per step: 2*(p-1)^2 still fits in int64 for
     p <= 2^31 - 1.
     """
+    import numpy as np
     m, k = a.shape
     k2, n = b.shape
     if k != k2:

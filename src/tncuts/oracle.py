@@ -16,17 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .fieldmath import matmul_mod, rank_mod, validate_prime
+from .fieldmath import DEFAULT_PRIME, SizeCapError, matmul_mod, rank_mod, validate_prime
 from .models import TnsModel, _clamped_bonds, _cut_bound
 from .rng import CounterRng, derive_seed
 
-DEFAULT_PRIME = (1 << 31) - 1
 SIZE_CAP = 1 << 24
 _MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
-
-
-class SizeCapError(RuntimeError):
-    """A dense tensor or core would exceed the oracle's size cap."""
 
 
 @dataclass(frozen=True, eq=False)

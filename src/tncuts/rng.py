@@ -7,12 +7,16 @@ The value stream for a 64-bit seed ``s`` is
 where ``mix64`` is the SplitMix64 output function and GAMMA is the usual
 golden-ratio increment.  Field residues are produced by rejection sampling,
 so draws are exactly uniform on [0, p).  The scheme is frozen: golden
-outputs depend on it, so it must not change between releases.
+outputs depend on it, so it must not change between releases.  Only the
+vectorised draws use numpy, imported on first call (see ``fieldmath``).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4B7C15
@@ -47,6 +51,7 @@ class CounterRng:
 
     def u64_block(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit values, vectorised."""
+        import numpy as np
         start = self._counter + 1
         self._counter += count
         idx = np.arange(start, start + count, dtype=np.uint64)
@@ -57,6 +62,7 @@ class CounterRng:
 
     def residues(self, count: int, p: int) -> np.ndarray:
         """Exactly uniform residues in [0, p) as int64, via rejection."""
+        import numpy as np
         limit = np.uint64((1 << 64) - ((1 << 64) % p))
         out = np.empty(count, dtype=np.int64)
         filled = 0

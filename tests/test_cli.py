@@ -48,6 +48,21 @@ def test_stdout_is_json():
         assert isinstance(payload, dict)
 
 
+def test_only_verify_loads_numpy():
+    # numpy takes longer to import than the rest of the package, so the
+    # commands that sample no tensor must not load it
+    argvs = [argv for _, argv in sorted(MANIFEST.items()) if argv[0] != "verify"]
+    code = (
+        "import contextlib, io, json, sys, tncuts.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [tncuts.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, cwd=ROOT)
+    assert out.returncode == 0, out.stderr.decode()
+    assert json.loads(out.stdout) == [[0] * len(argvs), False]
+
+
 def test_minmono_empty_subset():
     payload = json.loads(run_cli("minmono", "--tree", "inputs/cat4.txt", "--subset", "").stdout)
     assert payload == {"size": 0, "witness": [], "colour_cut_size": None}
