@@ -72,11 +72,10 @@ def _sorted_keys(edges: Iterable) -> list[str]:
     return [e.key for e in sorted(edges)]
 
 
-def _emit(payload: dict, as_json: bool) -> None:
+def _render(payload: dict, as_json: bool) -> str:
     if as_json:
-        print(json.dumps(payload))
-    else:
-        print(" ".join(f"{k}={v}" for k, v in payload.items()))
+        return json.dumps(payload)
+    return " ".join(f"{k}={v}" for k, v in payload.items())
 
 
 def _cmd_minmono(args) -> dict:
@@ -204,7 +203,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = args.func(args)
+        # Rendering can fail too (an int too long to print), before any output.
+        text = _render(args.func(args), args.json)
     except LandmarkMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.json)
+    print(text)
     return 0
 
 

@@ -3,9 +3,10 @@
 A leaf subset A two-colours the leaves.  A monochromatic cut is an edge set
 whose removal leaves every component's leaves single-coloured (components
 without leaves are unconstrained); a colour cut leaves every component with
-at least one leaf of each colour.  Minimum/maximum sizes are computed by a
-two-pass dynamic program over the rooted orientation: a cost pass from the
-leaves up, then a witness walk from the root down.
+at least one leaf of each colour.  Minimum sizes and products come from one
+dynamic program over the orientation rooted at leaf 1: a cost pass from the
+leaves up, then a witness walk from the root down.  The maximum colour cut
+needs no table: one greedy pass from the leaves up finds it.
 """
 
 from __future__ import annotations
@@ -89,11 +90,16 @@ def _cut_witness(
     return frozenset(tree._edge_ids[i] for i in cut_edges)
 
 
-def _min_mono_size(tree: Tree, amask: int) -> int:
+def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
+    """Cheapest product of weights over the monochromatic cuts for the leaf mask."""
     if amask == 0 or amask == tree._full_mask:
-        return 0
-    c0, c1 = _cut_costs(tree, amask, [2] * len(tree._edge_ids))
-    return (c1[0] if amask & 1 else c0[0]).bit_length() - 1
+        return 1
+    c0, c1 = _cut_costs(tree, amask, weights)
+    return c1[0] if amask & 1 else c0[0]
+
+
+def _min_mono_size(tree: Tree, amask: int) -> int:
+    return _cheapest_cut(tree, amask, [2] * len(tree._edge_ids)).bit_length() - 1
 
 
 def min_mono_cut(tree: Tree, a: Iterable[int]) -> CutResult:
@@ -138,60 +144,53 @@ def max_colour_cut(tree: Tree, a: Iterable[int]) -> CutResult:
 
     Returns size None when A or its complement is empty (no colour cut
     exists, not even the empty one).
+
+    One greedy pass from the leaves up, rooted at leaf 1: a vertex's open
+    part is its subtree minus the parts already closed below it, and as
+    soon as a non-root vertex's open part holds both colours the edge to
+    its parent is cut.  If leaf 1's part ends single-coloured, one cut edge
+    on its border is restored, merging it into a bicoloured part.
+
+    Optimal: let best(T) be the most parts in a partition of T into
+    connected bicoloured parts (0 if there is none); a colour cut of k
+    edges is such a partition into k + 1 parts.  The pass makes one part
+    per closed vertex, plus leaf 1's part if that is bicoloured (else the
+    restore merges it into a neighbour).  Let v be the first vertex closed.
+    Each child subtree of v is single-coloured, so no part lies inside one
+    and the part P holding v contains subtree(v).  If P is larger, the rest
+    Q of P is connected: split Q off if it is bicoloured, else merge it into
+    a neighbouring part, or P is the whole tree.  So best(T) = 1 +
+    best(T - subtree(v)), and the pass goes on exactly as it would on
+    T - subtree(v).  With nothing closed it counts 1 if leaf 1's part, the
+    whole tree, is bicoloured and 0 if not, which is best(T).
     """
     amask = tree.mask_of(a)
     if amask == 0 or amask == tree._full_mask:
         return CutResult(None, frozenset())
-    n = tree.n
-    # state bits: 1 = component seen an A leaf, 2 = seen a non-A leaf
-    states: list[dict[int, int] | None] = [None] * tree.num_vertices
-    choices: list[list[dict[int, tuple[int, int, bool]]]] = [[] for _ in range(tree.num_vertices)]
-    for v in tree._postorder:
-        if v < n:
-            acc = {1 if (amask >> v) & 1 else 2: 0}
-        else:
-            acc = {0: 0}
-        tables = choices[v]
-        for u, _ in tree._children[v]:
-            child = states[u]
-            cut_gain = child.get(3)
-            table: dict[int, tuple[int, int, bool]] = {}
-            nxt: dict[int, int] = {}
-            for ps in sorted(acc):
-                pg = acc[ps]
-                if cut_gain is not None:
-                    g = pg + cut_gain + 1
-                    if g > nxt.get(ps, -1):
-                        nxt[ps] = g
-                        table[ps] = (ps, 3, True)
-                for cs in sorted(child):
-                    rs = ps | cs
-                    g = pg + child[cs]
-                    if g > nxt.get(rs, -1):
-                        nxt[rs] = g
-                        table[rs] = (ps, cs, False)
-            acc = nxt
-            tables.append(table)
-        states[v] = acc
-    best = states[0].get(3)
-    if best is None:
-        return CutResult(None, frozenset())
+    children = tree._children
+    # seen[v]: colours of v's open part, 1 = a leaf in A, 2 = a leaf not in A
+    seen = [2 - ((amask >> v) & 1) for v in range(tree.n)]
+    seen += [0] * (tree.num_vertices - tree.n)
     cut_edges = []
-    stack = [(0, 3)]
-    while stack:
-        v, s = stack.pop()
-        kids = tree._children[v]
-        tables = choices[v]
-        for i in range(len(kids) - 1, -1, -1):
-            ps, cs, was_cut = tables[i][s]
-            u, ei = kids[i]
-            if was_cut:
+    for v in tree._postorder:
+        s = seen[v]
+        for u, ei in children[v]:
+            if seen[u] == 3:
                 cut_edges.append(ei)
-                stack.append((u, 3))
             else:
-                stack.append((u, cs))
-            s = ps
-    return CutResult(best, frozenset(tree._edge_ids[i] for i in cut_edges))
+                s |= seen[u]
+        seen[v] = s
+    if seen[0] != 3:
+        # A nonempty proper A closes some part, so leaf 1's part has a cut
+        # edge on its border; walk down its uncut edges to the first one.
+        part = [0]
+        for v in part:
+            border = [ei for u, ei in children[v] if seen[u] == 3]
+            if border:
+                cut_edges.remove(border[0])
+                break
+            part.extend(u for u, _ in children[v])
+    return CutResult(len(cut_edges), frozenset(tree._edge_ids[i] for i in cut_edges))
 
 
 # -- verification -------------------------------------------------------------

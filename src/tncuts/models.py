@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .cuts import _cut_costs, min_product_cut
+from .cuts import _cheapest_cut, min_product_cut
 from .trees import EdgeId, Tree, _adjacency, parse_tree
 
 
@@ -170,11 +170,7 @@ def _cut_bound(model: TnsModel, amask: int) -> int:
     leaf edges of A, or of its complement, shows that it is at most
     min(rows, cols) as well.
     """
-    tree = model.tree
-    if amask == 0 or amask == tree._full_mask:
-        return 1
-    c0, c1 = _cut_costs(tree, amask, _clamped_bonds(model))
-    return c1[0] if amask & 1 else c0[0]
+    return _cheapest_cut(model.tree, amask, _clamped_bonds(model))
 
 
 def optimalize(model: TnsModel) -> TnsModel:
@@ -195,7 +191,8 @@ def optimalize(model: TnsModel) -> TnsModel:
     Idempotent, never increases f, never drops below 1.
     """
     tree = model.tree
-    f = {eid: _cut_bound(model, side) for eid, side in zip(tree.edges(), tree._edge_sides)}
+    bonds = _clamped_bonds(model)
+    f = {eid: _cheapest_cut(tree, side, bonds) for eid, side in zip(tree.edges(), tree._edge_sides)}
     return TnsModel(tree, f, dict(model.dims))
 
 

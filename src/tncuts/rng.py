@@ -74,7 +74,9 @@ class CounterRng:
         return out
 
     def randbelow(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """Uniform integer in [0, bound), for 1 <= bound <= 2**64."""
+        if not 1 <= bound <= 1 << 64:
+            raise ValueError(f"randbelow bound must be in [1, 2**64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             v = self.next_u64()

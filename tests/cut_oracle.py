@@ -1,8 +1,9 @@
-"""Independent minimum-monochromatic-cut oracle for the tests.
+"""Independent cut oracles for the tests.
 
-It shares no code with the cut DP in ``tncuts.cuts``: leaf-to-leaf paths
-are read off the public edge bipartitions, and the value comes from an
-exhaustive subset search or, on larger trees, from max-flow with networkx.
+They share no code with ``tncuts.cuts``: leaf-to-leaf paths are read off
+the public edge bipartitions.  The minimum monochromatic cut comes from an
+exhaustive subset search or, on larger trees, from max-flow with networkx;
+the maximum colour cut from an exhaustive search over growing sizes.
 """
 
 from __future__ import annotations
@@ -86,3 +87,39 @@ def min_cut_by_flow(tree: Tree, amask: int) -> int:
         else:
             g.add_edge(leaf, "t", capacity=big)
     return nx.maximum_flow_value(g, "s", "t")
+
+
+def brute_force_max_colour(tree: Tree, a: Iterable[int]) -> int | None:
+    """Independent maximum-colour-cut size; None when A or its complement is empty.
+
+    Removing an edge set C leaves |C| + 1 components, and two leaves share
+    one exactly when no edge of C lies on their path.  C is a colour cut
+    when the leaves fall into |C| + 1 classes (no component is leafless)
+    and every class holds both colours.  Dropping an edge from a colour cut
+    merges two bicoloured components, so colour cuts are closed under
+    subsets, and the search stops at the first size that has none.
+    """
+    n_edges = len(tree.edges())
+    if n_edges > BRUTE_MAX_EDGES:
+        raise ValueError(f"tree too large for the brute-force oracle ({n_edges} edges)")
+    amask = tree.mask_of(a)
+    if amask == 0 or amask == (1 << tree.n) - 1:
+        return None
+    paths = pair_path_masks(tree)
+    colours = [2 - ((amask >> x) & 1) for x in range(tree.n)]
+
+    def is_colour_cut(cut: int, size: int) -> bool:
+        classes: list[list[int]] = []  # [a leaf of the class, colour bits seen]
+        for x in range(tree.n):
+            for cls in classes:
+                if not paths[cls[0]][x] & cut:
+                    cls[1] |= colours[x]
+                    break
+            else:
+                classes.append([x, colours[x]])
+        return len(classes) == size + 1 and all(bits == 3 for _, bits in classes)
+
+    for size in range(n_edges + 1):
+        if not any(is_colour_cut(sum(1 << i for i in combo), size) for combo in combinations(range(n_edges), size)):
+            return size - 1
+    raise AssertionError("cutting every edge leaves single leaves, never a colour cut")

@@ -79,7 +79,7 @@ def cut_corpus():
         if a and len(a) < tree.n:
             if mono.size != colour.size + 1:
                 stats["offset_fails"] += 1
-            if not verify_colour_cut(tree, a, colour.witness):
+            if len(colour.witness) != colour.size or not verify_colour_cut(tree, a, colour.witness):
                 stats["witness_fails"] += 1
         else:
             if mono.size != 0 or colour.size is not None:

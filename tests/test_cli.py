@@ -111,6 +111,15 @@ def test_exit_code_input_errors(tmp_path):
     assert out.stdout == b"" and out.stderr.startswith(b"error: ")
 
 
+@pytest.mark.parametrize("mode", ["--json", "--no-json"])
+def test_unprintable_output_is_input_error(mode):
+    # r**2 has 6001 digits, more than Python turns into a string by default
+    out = run_cli("hardset", "--tree", "inputs/cat4.txt", "--r", str(10**3000), mode, check=False)
+    assert out.returncode == 1
+    assert out.stdout == b""
+    assert out.stderr.startswith(b"error: ") and out.stderr.count(b"\n") == 1
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cut_oracle import brute_force_min_mono, brute_subset_scan, min_cut_by_flow
+from cut_oracle import brute_force_max_colour, brute_force_min_mono, brute_subset_scan, min_cut_by_flow
 from tncuts import (
+    CounterRng,
     EdgeId,
+    all_binary_trees,
     build_train_track,
     complement,
     max_colour_cut,
@@ -148,10 +150,31 @@ def test_brute_force_examples():
     assert brute_force_min_mono(EX12, A12) == 5
 
 
+def test_brute_force_colour_examples():
+    assert brute_force_max_colour(CAT4, {1, 3}) == 1
+    assert brute_force_max_colour(CAT4, {1, 2}) == 0
+    assert brute_force_max_colour(EX12, A12) == 4
+    assert brute_force_max_colour(CAT4, set()) is None
+
+
+def test_brute_force_colour_matches_greedy():
+    # every labelled tree of 2-5 leaves with every A, then a seeded sample
+    cases = [(tree, bits) for n in range(2, 6) for tree in all_binary_trees(n) for bits in range(1 << n)]
+    rng = CounterRng(11)
+    for _ in range(1000):
+        n = 6 + rng.randbelow(3)
+        cases.append((random_binary_tree(n, rng=rng), rng.randbelow(1 << n)))
+    for tree, bits in cases:
+        a = {i + 1 for i in range(tree.n) if (bits >> i) & 1}
+        assert brute_force_max_colour(tree, a) == max_colour_cut(tree, a).size, (tree.serialize(), a)
+
+
 def test_brute_force_cap():
     big = build_train_track(13)  # 23 edges
     with pytest.raises(ValueError):
         brute_force_min_mono(big, {1, 3})
+    with pytest.raises(ValueError):
+        brute_force_max_colour(big, {1, 3})
 
 
 def test_brute_force_routes_agree():
@@ -181,6 +204,7 @@ def test_mono_vs_colour_offset(n, seed, bits):
     colour = max_colour_cut(tree, a)
     if a and len(a) < n:
         assert mono.size == colour.size + 1
+        assert len(colour.witness) == colour.size
         assert verify_colour_cut(tree, a, colour.witness)
     else:
         assert mono.size == 0 and colour.size is None

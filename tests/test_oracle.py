@@ -79,6 +79,18 @@ def test_rng_residues_split_matches_one_draw(seed, a, b):
     assert split._counter == whole._counter >= a + b
 
 
+def test_randbelow_bounds():
+    # valid bounds keep their frozen draws, the edges 1 and 2**64 included
+    rng = CounterRng(2024)
+    got = [rng.randbelow(b) for b in (1, 2, 7, 10**9, 3 << 62, 1 << 64)]
+    assert got == [0, 1, 2, 558739560, 7897884513393384712, 8920066922932142864]
+    # 0 once divided by zero, -3 returned a negative value, 2**64 + 1 never returned
+    for bound in (0, -3, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            rng.randbelow(bound)
+    assert rng._counter == 6
+
+
 # -- field kernels ------------------------------------------------------------
 
 
