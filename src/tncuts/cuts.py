@@ -6,7 +6,8 @@ without leaves are unconstrained); a colour cut leaves every component with
 at least one leaf of each colour.  Minimum sizes and products come from one
 dynamic program over the orientation rooted at leaf 1: a cost pass from the
 leaves up, then a witness walk from the root down.  The maximum colour cut
-needs no table: one greedy pass from the leaves up finds it.
+needs no table: one greedy pass from the leaves up finds it.  The two
+verifiers check a given cut in one more pass from the leaves up.
 """
 
 from __future__ import annotations
@@ -68,10 +69,25 @@ def _cut_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], l
     return c0, c1
 
 
-def _cut_witness(
-    tree: Tree, amask: int, weights: list[int], c0: list[int], c1: list[int]
-) -> frozenset[EdgeId]:
-    # On ties prefer keeping the edge, which pushes cuts towards the leaves.
+def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
+    """Cheapest product of weights over the monochromatic cuts for the leaf mask."""
+    if amask == 0 or amask == tree._full_mask:
+        return 1
+    c0, c1 = _cut_costs(tree, amask, weights)
+    return c1[0] if amask & 1 else c0[0]
+
+
+def _min_mono_size(tree: Tree, amask: int) -> int:
+    return _cheapest_cut(tree, amask, [2] * len(tree._edge_ids)).bit_length() - 1
+
+
+def _product_cut(tree: Tree, amask: int, weights: list[int]) -> tuple[int, frozenset[EdgeId]]:
+    """Cheapest product of weights over the monochromatic cuts, with a witness."""
+    if amask == 0 or amask == tree._full_mask:
+        return 1, frozenset()
+    c0, c1 = _cut_costs(tree, amask, weights)
+    # Witness walk from the root down.  On ties prefer keeping the edge,
+    # which pushes cuts towards the leaves.
     cut_edges = []
     children = tree._children
     stack = [(0, amask & 1)]
@@ -87,30 +103,14 @@ def _cut_witness(
             else:
                 cut_edges.append(ei)
                 stack.append((u, low_s))
-    return frozenset(tree._edge_ids[i] for i in cut_edges)
-
-
-def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
-    """Cheapest product of weights over the monochromatic cuts for the leaf mask."""
-    if amask == 0 or amask == tree._full_mask:
-        return 1
-    c0, c1 = _cut_costs(tree, amask, weights)
-    return c1[0] if amask & 1 else c0[0]
-
-
-def _min_mono_size(tree: Tree, amask: int) -> int:
-    return _cheapest_cut(tree, amask, [2] * len(tree._edge_ids)).bit_length() - 1
+    cost = c1[0] if amask & 1 else c0[0]
+    return cost, frozenset(tree._edge_ids[i] for i in cut_edges)
 
 
 def min_mono_cut(tree: Tree, a: Iterable[int]) -> CutResult:
     """Minimum edge set whose removal leaves every component monochromatic."""
-    amask = tree.mask_of(a)
-    if amask == 0 or amask == tree._full_mask:
-        return CutResult(0, frozenset())
-    weights = [2] * len(tree._edge_ids)
-    c0, c1 = _cut_costs(tree, amask, weights)
-    cost = c1[0] if amask & 1 else c0[0]
-    return CutResult(cost.bit_length() - 1, _cut_witness(tree, amask, weights, c0, c1))
+    cost, witness = _product_cut(tree, tree.mask_of(a), [2] * len(tree._edge_ids))
+    return CutResult(cost.bit_length() - 1, witness)
 
 
 def _check_edge_function(tree: Tree, f: Mapping[EdgeId, int]) -> list[int]:
@@ -128,12 +128,7 @@ def _check_edge_function(tree: Tree, f: Mapping[EdgeId, int]) -> list[int]:
 def min_product_cut(tree: Tree, a: Iterable[int], f: Mapping[EdgeId, int]) -> ProductCut:
     """Minimise prod f(e) over monochromatic cuts for A, exactly."""
     fvals = _check_edge_function(tree, f)
-    amask = tree.mask_of(a)
-    if amask == 0 or amask == tree._full_mask:
-        return ProductCut(1, frozenset())
-    c0, c1 = _cut_costs(tree, amask, fvals)
-    product = c1[0] if amask & 1 else c0[0]
-    return ProductCut(product, _cut_witness(tree, amask, fvals, c0, c1))
+    return ProductCut(*_product_cut(tree, tree.mask_of(a), fvals))
 
 
 # -- maximum colour cut ------------------------------------------------------
@@ -196,38 +191,32 @@ def max_colour_cut(tree: Tree, a: Iterable[int]) -> CutResult:
 # -- verification -------------------------------------------------------------
 
 
-def _component_flags(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]):
+def _part_colours(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> list[int]:
+    """Colour bits of each part left by removing ``cut`` (0 = no leaf), leaf 1's part last."""
     amask = tree.mask_of(a)
     cut_idx = {tree._edge_pos[tree.resolve_edge(eid)] for eid in cut}
-    parent = list(range(tree.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, (u, v) in enumerate(tree._edge_ends):
-        if i not in cut_idx:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    flags: dict[int, list[bool]] = {}
-    for v in range(tree.num_vertices):
-        flags.setdefault(find(v), [False, False])
-    for leaf in range(tree.n):
-        flag = flags[find(leaf)]
-        flag[1 if (amask >> leaf) & 1 else 0] = True
-    return flags
+    children = tree._children
+    # seen[v]: colours of v's part below v, 1 = a leaf in A, 2 = a leaf not in A
+    seen = [2 - ((amask >> v) & 1) for v in range(tree.n)]
+    seen += [0] * (tree.num_vertices - tree.n)
+    parts = []
+    for v in tree._postorder:
+        s = seen[v]
+        for u, ei in children[v]:
+            if ei in cut_idx:
+                parts.append(seen[u])
+            else:
+                s |= seen[u]
+        seen[v] = s
+    parts.append(seen[0])
+    return parts
 
 
 def verify_mono_cut(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> bool:
     """True iff removing ``cut`` leaves no component with leaves of both colours."""
-    flags = _component_flags(tree, a, cut)
-    return all(not (has_b and has_a) for has_b, has_a in flags.values())
+    return 3 not in _part_colours(tree, a, cut)
 
 
 def verify_colour_cut(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> bool:
     """True iff removing ``cut`` leaves every component with leaves of both colours."""
-    flags = _component_flags(tree, a, cut)
-    return all(has_b and has_a for has_b, has_a in flags.values())
+    return all(bits == 3 for bits in _part_colours(tree, a, cut))

@@ -86,13 +86,17 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
         f = {e: raw_f for e in tree.edges()}
     elif isinstance(raw_f, Mapping):
         f = {}
+        edge_keys: dict[EdgeId, str] = {}
         for key, value in raw_f.items():
             try:
                 eid = tree.resolve_edge(EdgeId.from_key(key))
             except ValueError:
                 raise ValueError(f"edge key {key!r} does not name an edge of the tree") from None
+            if eid in edge_keys:
+                raise ValueError(f"edge keys {edge_keys[eid]!r} and {key!r} name the same edge")
             if not _is_int(value):
                 raise ValueError(f"bond value for {key!r} must be an integer")
+            edge_keys[eid] = key
             f[eid] = value
     else:
         raise ValueError('"f" must be an integer or an object of integers')
@@ -105,10 +109,15 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
         dims = {lab: constant for lab in range(1, tree.n + 1)}
     elif isinstance(raw_dims, Mapping):
         dims = {}
+        leaf_keys: dict[int, str] = {}
         for key, value in raw_dims.items():
             if not _is_int(value):
                 raise ValueError(f"dimension for leaf {key!r} must be an integer")
-            dims[int(key)] = value
+            leaf = int(key)
+            if leaf in leaf_keys:
+                raise ValueError(f"leaf keys {leaf_keys[leaf]!r} and {key!r} name the same leaf")
+            leaf_keys[leaf] = key
+            dims[leaf] = value
     else:
         raise ValueError('"dims" must be an object of integers')
     return TnsModel(tree, f, dims)
@@ -116,7 +125,11 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
 
 def load_model(path) -> TnsModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("model file is nested too deeply") from None
+    return model_from_json_dict(data)
 
 
 # -- rank prediction ---------------------------------------------------------

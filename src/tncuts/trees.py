@@ -315,24 +315,7 @@ def build_train_track(n: int) -> Tree:
     """Caterpillar tree: every prefix {1..j} is an edge split."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    if n == 2:
-        return Tree({0: {1}, 1: {0}}, {0: 1, 1: 2})
-    # leaves 0..n-1 carry labels 1..n; spine vertices n..2n-3
-    adj: dict[int, set[int]] = {v: set() for v in range(2 * n - 2)}
-    labels = {i: i + 1 for i in range(n)}
-
-    def link(u: int, v: int) -> None:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    spine = list(range(n, 2 * n - 2))
-    link(0, spine[0])
-    link(n - 1, spine[-1])
-    for i, v in enumerate(spine):
-        link(i + 1, v)
-        if i + 1 < len(spine):
-            link(v, spine[i + 1])
-    return Tree(adj, labels)
+    return parse_tree("(" * (n - 1) + "1," + "),".join(map(str, range(2, n + 1))) + ")")
 
 
 def build_almost_perfect_binary(n: int) -> Tree:

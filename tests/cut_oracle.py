@@ -3,7 +3,8 @@
 They share no code with ``tncuts.cuts``: leaf-to-leaf paths are read off
 the public edge bipartitions.  The minimum monochromatic cut comes from an
 exhaustive subset search or, on larger trees, from max-flow with networkx;
-the maximum colour cut from an exhaustive search over growing sizes.
+the maximum colour cut from an exhaustive search over growing sizes; the
+cut checks from the leaf classes a cut leaves.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from tncuts import Tree
+from tncuts import EdgeId, Tree
 
 BRUTE_EXHAUSTIVE_EDGES = 14
 BRUTE_MAX_EDGES = 22
@@ -37,6 +38,12 @@ def brute_force_min_mono(tree: Tree, a: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=64)
+def edge_sides(tree: Tree) -> tuple[int, ...]:
+    """Leaf mask of the canonical side of each edge, in ``tree.edges()`` order."""
+    return tuple(tree.mask_of(tree.leaves_left_of(e)) for e in tree.edges())
+
+
+@lru_cache(maxsize=64)
 def pair_path_masks(tree: Tree) -> tuple[tuple[int, ...], ...]:
     """pair_path_masks(tree)[a][b]: bitmask over ``tree.edges()`` of the
     edges on the path between leaves a+1 and b+1.
@@ -44,7 +51,7 @@ def pair_path_masks(tree: Tree) -> tuple[tuple[int, ...], ...]:
     An edge lies on that path exactly when its bipartition separates the
     two leaves.
     """
-    sides = [tree.mask_of(tree.leaves_left_of(e)) for e in tree.edges()]
+    sides = edge_sides(tree)
     return tuple(
         tuple(
             sum(1 << i for i, side in enumerate(sides) if ((side >> x) ^ (side >> y)) & 1)
@@ -89,6 +96,50 @@ def min_cut_by_flow(tree: Tree, amask: int) -> int:
     return nx.maximum_flow_value(g, "s", "t")
 
 
+def leaf_classes(tree: Tree, amask: int, cut: int) -> list[int]:
+    """Colour bits (1 = in A, 2 = not in A) of each class of leaves left
+    connected once the edges in the mask ``cut`` over ``tree.edges()`` go.
+
+    Two leaves share a class exactly when no cut edge lies on their path.
+    """
+    paths = pair_path_masks(tree)
+    classes: list[list[int]] = []  # [a leaf of the class, colour bits seen]
+    for x in range(tree.n):
+        colour = 2 - ((amask >> x) & 1)
+        for cls in classes:
+            if not paths[cls[0]][x] & cut:
+                cls[1] |= colour
+                break
+        else:
+            classes.append([x, colour])
+    return [bits for _, bits in classes]
+
+
+def verify_by_leaf_classes(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> tuple[bool, bool]:
+    """Independent (mono, colour) verdicts for the edge set ``cut``.
+
+    Edges may be named by either side of their bipartition, and an edge
+    named twice counts once.  Removing the |C| distinct edges leaves |C| + 1
+    components.  Mono: every leaf class has one colour (leafless components
+    are unconstrained).  Colour: there are |C| + 1 leaf classes, so no
+    component is leafless, and every class holds both colours.
+    """
+    amask = tree.mask_of(a)
+    full = (1 << tree.n) - 1
+    sides = edge_sides(tree)
+    mask = 0
+    for eid in cut:
+        side = tree.mask_of(eid.labels)
+        hits = [i for i, s in enumerate(sides) if side in (s, full ^ s)]
+        if not hits:
+            raise ValueError(f"edge {eid} does not belong to the tree")
+        mask |= 1 << hits[0]
+    classes = leaf_classes(tree, amask, mask)
+    mono = all(bits != 3 for bits in classes)
+    colour = len(classes) == mask.bit_count() + 1 and all(bits == 3 for bits in classes)
+    return mono, colour
+
+
 def brute_force_max_colour(tree: Tree, a: Iterable[int]) -> int | None:
     """Independent maximum-colour-cut size; None when A or its complement is empty.
 
@@ -105,19 +156,10 @@ def brute_force_max_colour(tree: Tree, a: Iterable[int]) -> int | None:
     amask = tree.mask_of(a)
     if amask == 0 or amask == (1 << tree.n) - 1:
         return None
-    paths = pair_path_masks(tree)
-    colours = [2 - ((amask >> x) & 1) for x in range(tree.n)]
 
     def is_colour_cut(cut: int, size: int) -> bool:
-        classes: list[list[int]] = []  # [a leaf of the class, colour bits seen]
-        for x in range(tree.n):
-            for cls in classes:
-                if not paths[cls[0]][x] & cut:
-                    cls[1] |= colours[x]
-                    break
-            else:
-                classes.append([x, colours[x]])
-        return len(classes) == size + 1 and all(bits == 3 for _, bits in classes)
+        classes = leaf_classes(tree, amask, cut)
+        return len(classes) == size + 1 and all(bits == 3 for bits in classes)
 
     for size in range(n_edges + 1):
         if not any(is_colour_cut(sum(1 << i for i in combo), size) for combo in combinations(range(n_edges), size)):

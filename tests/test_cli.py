@@ -128,8 +128,25 @@ def test_unprintable_output_is_input_error(mode):
         '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"1": "a", "2": 2, "3": 2, "4": 2}}',
         '{"tree": "((1,2),(3,4))", "f": true}',
         '{"tree": 5, "f": 2}',
+        "[" * 200_000,
+        '{"tree": "((1,2),(3,4))", "f": 2, "dims": ' + "[" * 200_000 + "]" * 200_000 + "}",
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1": 2, "2": 2, "3": 2, "4": 2, "1-2": 2, "3-4": 7},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"1": 2, "01": 5, "2": 2, "3": 2, "4": 2}}',
     ],
-    ids=["top_level_list", "float_f", "string_dims", "bool_f", "tree_not_string"],
+    ids=[
+        "top_level_list",
+        "float_f",
+        "string_dims",
+        "bool_f",
+        "tree_not_string",
+        "deeply_nested",
+        "deeply_nested_dims",
+        "edge_named_twice",
+        "leaf_named_twice",
+    ],
 )
 def test_malformed_model_is_input_error(tmp_path, text):
     path = tmp_path / "model.json"

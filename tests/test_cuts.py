@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cut_oracle import brute_force_max_colour, brute_force_min_mono, brute_subset_scan, min_cut_by_flow
+from cut_oracle import (
+    brute_force_max_colour,
+    brute_force_min_mono,
+    brute_subset_scan,
+    min_cut_by_flow,
+    verify_by_leaf_classes,
+)
 from tncuts import (
     CounterRng,
     EdgeId,
@@ -82,8 +88,46 @@ def test_verify_predicates():
     assert not verify_mono_cut(CAT4, {1, 3}, set())
     assert verify_mono_cut(CAT4, {1, 2}, {EdgeId([1, 2])})
     assert not verify_colour_cut(CAT4, {1, 3}, {EdgeId([1])})
+    # either side names the middle edge, and naming it twice counts once
+    for cut in ([EdgeId([3, 4])], [EdgeId([3, 4]), EdgeId([1, 2])], [EdgeId([3, 4])] * 2):
+        assert verify_colour_cut(CAT4, {1, 3}, cut)
+        assert not verify_mono_cut(CAT4, {1, 3}, cut)
+        assert verify_mono_cut(CAT4, {1, 2}, cut)
     with pytest.raises(ValueError):
         verify_mono_cut(CAT4, {1, 3}, {EdgeId([1, 3])})
+    with pytest.raises(ValueError):
+        verify_colour_cut(CAT4, {1, 3}, {EdgeId([2, 3])})
+
+
+def test_verifiers_match_leaf_classes():
+    # every edge subset of every labelled tree of 2-5 leaves with every A
+    for n in range(2, 6):
+        for tree in all_binary_trees(n):
+            edges = tree.edges()
+            for k in range(1 << len(edges)):
+                cut = [e for i, e in enumerate(edges) if (k >> i) & 1]
+                for bits in range(1 << n):
+                    a = [i + 1 for i in range(n) if (bits >> i) & 1]
+                    got = (verify_mono_cut(tree, a, cut), verify_colour_cut(tree, a, cut))
+                    assert got == verify_by_leaf_classes(tree, a, cut), (tree.serialize(), a, cut)
+
+
+def test_verifiers_match_leaf_classes_sampled():
+    # 6-8 leaves; each edge named by a random side, some named twice
+    rng = CounterRng(23)
+    for _ in range(1500):
+        n = 6 + rng.randbelow(3)
+        tree = random_binary_tree(n, rng=rng)
+        a = [i + 1 for i in range(n) if rng.randbelow(2)]
+        cut = []
+        for e in tree.edges():
+            if rng.randbelow(3) == 0:
+                named = [e, EdgeId(tree.leaves - set(e.labels))]
+                cut.append(named[rng.randbelow(2)])
+                if rng.randbelow(4) == 0:
+                    cut.append(named[rng.randbelow(2)])
+        got = (verify_mono_cut(tree, a, cut), verify_colour_cut(tree, a, cut))
+        assert got == verify_by_leaf_classes(tree, a, cut), (tree.serialize(), a, cut)
 
 
 def test_min_product_constant_reduces_to_cardinality():

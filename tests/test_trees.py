@@ -87,6 +87,30 @@ def test_train_track_small_examples():
         build_train_track(1)
 
 
+def _hand_built_train_track(n: int) -> Tree:
+    # leaves 0..n-1 carry labels 1..n; spine vertices n..2n-3, leaf i + 1 on spine i
+    if n == 2:
+        return Tree({0: {1}, 1: {0}}, {0: 1, 1: 2})
+    spine = list(range(n, 2 * n - 2))
+    links = [(0, spine[0]), (n - 1, spine[-1])] + [(i + 1, v) for i, v in enumerate(spine)]
+    links += list(zip(spine, spine[1:]))
+    adj: dict[int, set[int]] = {v: set() for v in range(2 * n - 2)}
+    for u, v in links:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Tree(adj, {i: i + 1 for i in range(n)})
+
+
+def test_train_track_matches_hand_built():
+    # the builder goes through the parser; same tree, same internal layout
+    fields = ("_edge_ids", "_edge_sides", "_edge_ends", "_nbrs", "_children", "_postorder", "_parent_edge")
+    for n in list(range(2, 80)) + [1500]:
+        got, want = build_train_track(n), _hand_built_train_track(n)
+        assert got.serialize() == want.serialize(), n
+        for field in fields:
+            assert getattr(got, field) == getattr(want, field), (n, field)
+
+
 def test_abt_small_shapes():
     assert build_almost_perfect_binary(4) == parse_tree(CAT4)
     assert build_almost_perfect_binary(5) == parse_tree("(((1,2),3),(4,5))")
