@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .cuts import _cheapest_cut, min_product_cut
-from .trees import EdgeId, Tree, _adjacency, parse_tree
+from .trees import EdgeId, Tree, parse_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,10 +123,20 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
     return TnsModel(tree, f, dims)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """JSON object hook: reject an object that repeats a literal key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"model file repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_model(path) -> TnsModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("model file is nested too deeply") from None
     return model_from_json_dict(data)
@@ -256,15 +266,10 @@ def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
     if m1.dims != m2.dims:
         raise ValueError("models must have identical leaf dimensions")
     checks = []
-    witness = None
-    for eid in m2.tree.edges():
-        subset = m2.tree.leaves_left_of(eid)
-        required = min_product_cut(m1.tree, subset, m1.f).product
-        actual = m2.f[eid]
-        ok = actual >= required
-        if not ok and witness is None:
-            witness = eid
-        checks.append(EdgeCheck(eid, required, actual, ok))
+    for eid, side in zip(m2.tree.edges(), m2.tree._edge_sides):
+        required = min_product_cut(m1.tree, m2.tree.labels_of_mask(side), m1.f).product
+        checks.append(EdgeCheck(eid, required, m2.f[eid], m2.f[eid] >= required))
+    witness = next((c.edge for c in checks if not c.ok), None)
     return ComparisonReport(tuple(checks), witness is None, witness)
 
 
@@ -274,58 +279,31 @@ def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
 def construct_hard_subset(tree: Tree) -> frozenset[int]:
     """Leaf subset whose minimal monochromatic cut has >= floor(n/2) edges.
 
-    Greedy cherry elimination: repeatedly take the two leaves hanging off a
-    common vertex (after pruning dead branches), put the smaller label in A
-    and the other outside, and delete both.  Cherries are processed in
-    ascending order of their smaller label.
+    Greedy cherry elimination, in ascending order of the cherries' smaller
+    label: take a cherry of the tree restricted to L, the leaves left, put
+    its smaller label in A and delete both leaves.  While |L| >= 4, those
+    cherries are exactly the 2-leaf sets among ``s & L`` and ``L & ~s`` over
+    the edge sides s.  A side meeting L in fewer than 2 leaves, or in more
+    than |L| - 2, names none, and never will again as L shrinks.  On 2 or 3
+    leaves the two smallest labels form the cherry.
     """
-    if tree.n < 2:
-        raise ValueError("need at least 2 leaves")
-    adj = _adjacency(tree)
-    label = {v: v + 1 for v in range(tree.n)}
-    chosen: set[int] = set()
-
-    def cleanup() -> None:
-        # drop unlabelled twigs, splice unlabelled degree-2 vertices
-        again = True
-        while again:
-            again = False
-            for v in list(adj):
-                if v in label:
-                    continue
-                if len(adj[v]) <= 1:
-                    for u in adj.pop(v):
-                        adj[u].discard(v)
-                    again = True
-                elif len(adj[v]) == 2:
-                    a, b = adj.pop(v)
-                    adj[a].discard(v)
-                    adj[b].discard(v)
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    again = True
-
-    while len(label) >= 2:
-        cleanup()
-        cherry = None  # (small_label, big_label, small_vertex, big_vertex)
-        if len(label) == 2:
-            (v1, l1), (v2, l2) = sorted(label.items(), key=lambda kv: kv[1])
-            cherry = (l1, l2, v1, v2)
-        else:
-            for v in adj:
-                if v in label:
-                    continue
-                leaf_nbrs = sorted((label[u], u) for u in adj[v] if u in label)
-                if len(leaf_nbrs) >= 2:
-                    (l1, v1), (l2, v2) = leaf_nbrs[0], leaf_nbrs[1]
-                    if cherry is None or l1 < cherry[0]:
-                        cherry = (l1, l2, v1, v2)
-        if cherry is None:
-            raise AssertionError("a pruned binary tree always contains a cherry")
-        l1, _, v1, v2 = cherry
-        chosen.add(l1)
-        for v in (v1, v2):
-            for u in adj.pop(v):
-                adj[u].discard(v)
-            del label[v]
+    left = tree._full_mask
+    sides = tree._edge_sides
+    chosen = set()
+    while left.bit_count() >= 4:
+        most = left.bit_count() - 2
+        live, cherries = [], []
+        for s in sides:
+            inside = (s & left).bit_count()
+            if 2 <= inside <= most:
+                live.append(s)
+                if inside == 2:
+                    cherries.append(s & left)
+                if inside == most:
+                    cherries.append(left & ~s)
+        sides = live
+        cherry = min(cherries, key=lambda part: part & -part)
+        chosen.add((cherry & -cherry).bit_length())
+        left ^= cherry
+    chosen.add((left & -left).bit_length())
     return frozenset(chosen)

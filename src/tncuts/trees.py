@@ -131,58 +131,49 @@ class Tree:
         for v in reversed(order[1:]):
             below[parent0[v]] |= below[v]
 
-        raw_edges = []          # (orig_u, orig_v, canonical side mask, edge key)
-        incident: dict[int, list] = {v: [] for v in adj}
+        raw_edges = []          # (edge key, orig parent, orig child, canonical side mask)
         for v in order[1:]:
             # below[v] never holds leaf 1 (the root), so the canonical side
             # -- fewer leaves, then the side holding leaf 1 on a tie -- is
             # below[v] exactly when it is the strictly smaller half.
             side = below[v] if 2 * below[v].bit_count() < n else full ^ below[v]
-            key = (side.bit_count(), _mask_labels(side))
-            raw_edges.append((parent0[v], v, side, key))
-            incident[parent0[v]].append(key)
-            incident[v].append(key)
+            raw_edges.append(((side.bit_count(), _mask_labels(side)), parent0[v], v, side))
+        raw_edges.sort()
 
         # Canonical vertex numbering: leaves by label, then inner vertices
-        # sorted by their incident-edge signature.
+        # by the ascending positions of their incident edges.
+        incident: dict[int, list[int]] = {v: [] for v in adj}
+        for i, (_, u, v, _) in enumerate(raw_edges):
+            incident[u].append(i)
+            incident[v].append(i)
         new_index = {v: leaf_labels[v] - 1 for v in leaf_labels}
-        inner = sorted((v for v in adj if v not in leaf_labels), key=lambda v: sorted(incident[v]))
+        inner = sorted((v for v in adj if v not in leaf_labels), key=incident.__getitem__)
         for i, v in enumerate(inner):
             new_index[v] = n + i
 
-        edges = sorted((key, new_index[u], new_index[v], side) for u, v, side, key in raw_edges)
-        self._edge_ids = tuple(EdgeId(key[1]) for key, _, _, _ in edges)
-        self._edge_sides = tuple(side for _, _, _, side in edges)
-        self._edge_ends = tuple((u, v) for _, u, v, _ in edges)
+        self._edge_ids = tuple(EdgeId(key[1]) for key, _, _, _ in raw_edges)
+        self._edge_sides = tuple(side for _, _, _, side in raw_edges)
+        self._edge_ends = tuple((new_index[u], new_index[v]) for _, u, v, _ in raw_edges)
         self._edge_pos = {eid: i for i, eid in enumerate(self._edge_ids)}
         self._split_key = frozenset(self._edge_sides)
 
+        # Rooted orientation at vertex 0 (the leaf labelled 1): every edge's
+        # ends are (parent, child) from the walk above.  Reused by the cut
+        # dynamic programs, serialize() and the oracle's contraction order.
         nbrs: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-        for i, (_, u, v, _) in enumerate(edges):
+        children: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
+        parent_edge = [-1] * num_vertices
+        for i, (u, v) in enumerate(self._edge_ends):
             nbrs[u].append((v, i))
             nbrs[v].append((u, i))
+            children[u].append((v, i))
+            parent_edge[v] = i
         self._nbrs = tuple(tuple(sorted(lst)) for lst in nbrs)
-
-        # Rooted orientation at vertex 0 (the leaf labelled 1), reused by
-        # the cut dynamic programs, serialize() and the oracle's contraction
-        # order.
-        parent = [-1] * num_vertices
-        parent_edge = [-1] * num_vertices
-        bfs = [0]
-        visited = [False] * num_vertices
-        visited[0] = True
-        for v in bfs:
-            for u, ei in self._nbrs[v]:
-                if not visited[u]:
-                    visited[u] = True
-                    parent[u] = v
-                    parent_edge[u] = ei
-                    bfs.append(u)
-        children: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
-        for v in bfs[1:]:
-            children[parent[v]].append((v, parent_edge[v]))
+        self._children = tuple(tuple(sorted(c)) for c in children)
         self._parent_edge = tuple(parent_edge)
-        self._children = tuple(tuple(c) for c in children)
+        bfs = [0]
+        for v in bfs:
+            bfs.extend(u for u, _ in self._children[v])
         self._postorder = tuple(reversed(bfs))
 
     # -- basic queries -------------------------------------------------
@@ -196,11 +187,11 @@ class Tree:
         return self._edge_ids
 
     def resolve_edge(self, edge: EdgeId) -> EdgeId:
-        """Canonical id of the edge, accepting either side of its bipartition."""
+        """Canonical id of the edge, accepting either side of its bipartition (labels distinct)."""
         if edge in self._edge_pos:
             return edge
         side = set(edge.labels)
-        if side <= self.leaves and len(side) < self.n:
+        if len(side) == len(edge.labels) and side <= self.leaves and len(side) < self.n:
             other = EdgeId(self.leaves - side)
             if other in self._edge_pos:
                 return other

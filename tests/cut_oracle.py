@@ -4,7 +4,9 @@ They share no code with ``tncuts.cuts``: leaf-to-leaf paths are read off
 the public edge bipartitions.  The minimum monochromatic cut comes from an
 exhaustive subset search or, on larger trees, from max-flow with networkx;
 the maximum colour cut from an exhaustive search over growing sizes; the
-cut checks from the leaf classes a cut leaves.
+cut checks from the leaf classes a cut leaves.  The hard subset comes from
+pruning a mutable copy of the tree vertex by vertex, sharing no code with
+``tncuts.models``.
 """
 
 from __future__ import annotations
@@ -165,3 +167,63 @@ def brute_force_max_colour(tree: Tree, a: Iterable[int]) -> int | None:
         if not any(is_colour_cut(sum(1 << i for i in combo), size) for combo in combinations(range(n_edges), size)):
             return size - 1
     raise AssertionError("cutting every edge leaves single leaves, never a colour cut")
+
+
+def hard_subset_by_pruning(tree: Tree) -> frozenset[int]:
+    """Independent greedy cherry elimination on a mutable adjacency copy.
+
+    Each round drops leafless twigs and splices degree-2 inner vertices
+    until none is left, then scans every inner vertex for two leaf
+    neighbours and takes the cherry with the smallest label: the smaller
+    label goes into A, and both leaves are deleted.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in range(tree.num_vertices)}
+    for u, v in tree._edge_ends:
+        adj[u].add(v)
+        adj[v].add(u)
+    label = {v: v + 1 for v in range(tree.n)}
+    chosen: set[int] = set()
+
+    def cleanup() -> None:
+        again = True
+        while again:
+            again = False
+            for v in list(adj):
+                if v in label:
+                    continue
+                if len(adj[v]) <= 1:
+                    for u in adj.pop(v):
+                        adj[u].discard(v)
+                    again = True
+                elif len(adj[v]) == 2:
+                    a, b = adj.pop(v)
+                    adj[a].discard(v)
+                    adj[b].discard(v)
+                    adj[a].add(b)
+                    adj[b].add(a)
+                    again = True
+
+    while len(label) >= 2:
+        cleanup()
+        cherry = None  # (small_label, small_vertex, big_vertex)
+        if len(label) == 2:
+            (v1, l1), (v2, _) = sorted(label.items(), key=lambda kv: kv[1])
+            cherry = (l1, v1, v2)
+        else:
+            for v in adj:
+                if v in label:
+                    continue
+                leaf_nbrs = sorted((label[u], u) for u in adj[v] if u in label)
+                if len(leaf_nbrs) >= 2:
+                    (l1, v1), (_, v2) = leaf_nbrs[0], leaf_nbrs[1]
+                    if cherry is None or l1 < cherry[0]:
+                        cherry = (l1, v1, v2)
+        if cherry is None:
+            raise AssertionError("a pruned binary tree always contains a cherry")
+        l1, v1, v2 = cherry
+        chosen.add(l1)
+        for v in (v1, v2):
+            for u in adj.pop(v):
+                adj[u].discard(v)
+            del label[v]
+    return frozenset(chosen)

@@ -135,6 +135,18 @@ def test_unprintable_output_is_input_error(mode):
             ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
         ),
         '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"1": 2, "01": 5, "2": 2, "3": 2, "4": 2}}',
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1": 2, "2": 2, "3": 2, "4": 2, "1-2": 2, "1-2": 7},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1": 2, "2": 2, "3": 2, "4": 2, "3-3-4": 2},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"2-3-4-4": 2, "2": 2, "3": 2, "4": 2, "1-2": 2},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
     ],
     ids=[
         "top_level_list",
@@ -146,6 +158,9 @@ def test_unprintable_output_is_input_error(mode):
         "deeply_nested_dims",
         "edge_named_twice",
         "leaf_named_twice",
+        "repeated_key",
+        "edge_key_repeats_label",
+        "leaf_key_repeats_label",
     ],
 )
 def test_malformed_model_is_input_error(tmp_path, text):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cut_oracle import brute_force_min_mono
+from cut_oracle import brute_force_min_mono, hard_subset_by_pruning
 from fixed_point import fixed_point_optimalize
 from tncuts import (
     CounterRng,
     EdgeId,
     TnsModel,
+    Tree,
+    all_binary_trees,
     build_almost_perfect_binary,
     build_train_track,
     compare_models,
@@ -24,6 +26,7 @@ from tncuts import (
     parse_tree,
     predict_rank,
     random_binary_tree,
+    tree_shapes,
 )
 
 CAT4 = parse_tree("((1,2),(3,4))")
@@ -167,6 +170,27 @@ def test_hard_subset_bound_all_small_shapes():
             a = construct_hard_subset(tree)
             assert len(a) == n // 2
             assert min_mono_cut(tree, a).size >= n // 2
+
+
+def random_joined_tree(n: int, rng: CounterRng) -> Tree:
+    """Random tree on n leaves: join random pairs of subtrees, then parse once."""
+    parts = [str(lab) for lab in range(1, n + 1)]
+    while len(parts) > 1:
+        first = parts.pop(rng.randbelow(len(parts)))
+        second = parts.pop(rng.randbelow(len(parts)))
+        parts.append(f"({first},{second})")
+    return parse_tree(parts[0])
+
+
+def test_hard_subset_matches_pruning():
+    rng = CounterRng(2609)
+    trees = [tree for n in range(2, 8) for tree in all_binary_trees(n)]
+    trees += [tree for n in range(4, 11) for tree in tree_shapes(n)]
+    trees += [random_binary_tree(n, seed=n) for n in range(8, 41)]
+    trees += [random_joined_tree(n, rng) for n in range(8, 301, 3)]
+    trees += [build_train_track(300), build_almost_perfect_binary(300)]
+    for tree in trees:
+        assert construct_hard_subset(tree) == hard_subset_by_pruning(tree), tree.serialize()
 
 
 def test_model_json_round_trip(tmp_path):

@@ -134,6 +134,22 @@ def test_leaves_left_of():
         tree.leaves_left_of(EdgeId([1, 3]))
     with pytest.raises(ValueError):
         tt5.resolve_edge(EdgeId([1, 2, 9]))
+    # a side that repeats a label names no edge, not even by its complement
+    for labels in ([3, 3, 4], [2, 3, 4, 4]):
+        with pytest.raises(ValueError):
+            tree.resolve_edge(EdgeId(labels))
+
+
+TREE_FIELDS = ("_edge_ids", "_edge_sides", "_edge_ends", "_nbrs", "_children", "_parent_edge", "_postorder")
+
+
+def test_build_is_canonical_whatever_the_raw_numbering():
+    trees = [tree for n in range(2, 8) for tree in all_binary_trees(n)]
+    trees += [random_binary_tree(n, seed=n) for n in range(8, 60)]
+    for tree in trees:
+        for again in (parse_tree(tree.serialize()), relabel(tree, range(1, tree.n + 1))):
+            for field in TREE_FIELDS:
+                assert getattr(again, field) == getattr(tree, field), (tree.serialize(), field)
 
 
 def test_edge_bipartition_properties():
