@@ -10,7 +10,9 @@ Runaway inputs are capped (exit 3): ``verify --trials`` and ``permscan
 last leaf count of the sixth landmark interval.  ``permscan --mode
 sampled`` also caps its work, trials x n^2 for a tree of n leaves, at
 2 * 10^7: each trial computes the exponent of one leaf order, one cut DP
-per prefix, which is quadratic in n.
+per prefix, which is quadratic in n.  ``verify`` samples only models whose
+tensor, drawn block of cores and leaf matrices, and every contraction
+product each hold at most 2^24 entries.
 """
 
 from __future__ import annotations

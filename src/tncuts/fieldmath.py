@@ -17,6 +17,7 @@ if TYPE_CHECKING:
 MAX_PRIME = (1 << 31) - 1
 MIN_PRIME = 10**6
 DEFAULT_PRIME = MAX_PRIME
+SIZE_CAP = 1 << 24
 
 
 class SizeCapError(RuntimeError):
@@ -95,13 +96,19 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 inputs with entries in [0, p).
 
     Accumulates two products per step: 2*(p-1)^2 still fits in int64 for
-    p <= 2^31 - 1.
+    p <= 2^31 - 1.  A product of more than SIZE_CAP entries raises
+    SizeCapError before anything is allocated.  This refuses no contraction
+    of a tensor within the cap when each bond is at most the dimension
+    product of either side of its edge, as in every optimalised model: each
+    of the sampler's products is then at most the full tensor.
     """
     import numpy as np
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
         raise ValueError("matmul_mod shape mismatch")
+    if m * n > SIZE_CAP:
+        raise SizeCapError(f"product of {m * n} entries exceeds the cap of {SIZE_CAP}")
     out = np.zeros((m, n), dtype=np.int64)
     for i in range(0, k, 2):
         out += (a[:, i : i + 2] @ b[i : i + 2, :]) % p

@@ -2,7 +2,8 @@
 
 Sampling assigns every inner vertex a random core (one axis per incident
 edge) and every leaf a random matrix into its physical space, then
-contracts leaf-to-root.  All arithmetic is exact in GF(p), so flattening
+contracts leaf-to-root, each subtree as one matrix from its parent bond to
+its leaves, as in the Hierarchical Tucker format.  All arithmetic is exact in GF(p), so flattening
 ranks are true ranks with no thresholds; a large prime stands in for
 genericity with failure probability on the order of (matrix size)/p.
 """
@@ -16,11 +17,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .fieldmath import DEFAULT_PRIME, SizeCapError, matmul_mod, rank_mod, validate_prime
+from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, matmul_mod, rank_mod, validate_prime
 from .models import TnsModel, _clamped_bonds, _cut_bound
 from .rng import CounterRng, derive_seed
 
-SIZE_CAP = 1 << 24
 _MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
 
 
@@ -49,15 +49,6 @@ class DenseTensor:
         return not self.data.any()
 
 
-def _contract_axis1(arr: np.ndarray, other: np.ndarray, p: int) -> np.ndarray:
-    """Contract axis 1 of ``arr`` with axis 0 of ``other``; other's remaining
-    axes are appended after arr's."""
-    arr = np.moveaxis(arr, 1, -1)
-    bond = arr.shape[-1]
-    out = matmul_mod(arr.reshape(-1, bond), other.reshape(bond, -1), p)
-    return out.reshape(arr.shape[:-1] + other.shape[1:])
-
-
 def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) -> DenseTensor:
     """Random tensor of the model, deterministic in (model, seed, p).
 
@@ -75,37 +66,32 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
     bonds = _clamped_bonds(model)
     core_edges = [sorted(ei for _, ei in tree._nbrs[v]) for v in range(n, tree.num_vertices)]
     shapes = [tuple(bonds[i] for i in edge_idx) for edge_idx in core_edges]
-    for shape in shapes:
-        if prod(shape) > SIZE_CAP:
-            raise SizeCapError(f"core of {prod(shape)} entries exceeds the cap of {SIZE_CAP}")
     shapes += [(model.dims[leaf + 1], bonds[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
+    sizes = [prod(shape) for shape in shapes]
+    if sum(sizes) > SIZE_CAP:
+        raise SizeCapError(f"drawing {sum(sizes)} entries exceeds the cap of {SIZE_CAP}")
     # One draw sliced in the frozen order: residues(a) then residues(b)
     # gives exactly the values of residues(a + b).
-    sizes = [prod(shape) for shape in shapes]
     block = CounterRng(seed).residues(sum(sizes), p)
     parts = [
         block[end - size : end].reshape(shape) for shape, size, end in zip(shapes, sizes, accumulate(sizes))
     ]
     leaf_mats = parts[len(core_edges) :]
 
-    # Leaf to root: each subtree tensor has its parent bond on axis 0 and
-    # then one axis per subtree leaf, listed in ``labels``.
-    subtree: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for v in tree._postorder[:-1]:
-        if v < n:
-            subtree[v] = (leaf_mats[v].T, [v + 1])
-            continue
-        # core axes reordered to (parent bond, child bonds in _children order)
-        edge_idx = core_edges[v - n]
-        order = [tree._parent_edge[v]] + [ei for _, ei in tree._children[v]]
-        arr, labels = parts[v - n].transpose([edge_idx.index(ei) for ei in order]), []
-        for child, _ in tree._children[v]:
-            sub, sub_labels = subtree.pop(child)
-            arr = _contract_axis1(arr, sub, p)
-            labels += sub_labels
-        subtree[v] = (arr, labels)
+    # Leaf to root: each subtree is a matrix with its parent bond as rows and
+    # its leaves as columns, flattened in the order listed in ``labels``.
+    subtree = {leaf: (leaf_mats[leaf].T, [leaf + 1]) for leaf in range(1, n)}
+    for v in [v for v in tree._postorder if v >= n]:
+        (c1, e1), (c2, e2) = tree._children[v]
+        (m1, l1), (m2, l2) = subtree.pop(c1), subtree.pop(c2)
+        # core axes (parent, e2, e1): rows (parent, e2) times the leaves of c1,
+        # then rows (parent, leaves of c1) times the leaves of c2
+        core = parts[v - n].transpose([core_edges[v - n].index(ei) for ei in (tree._parent_edge[v], e2, e1)])
+        arr = matmul_mod(core.reshape(-1, len(m1)), m1, p)
+        arr = arr.reshape(len(core), len(m2), -1).transpose(0, 2, 1).reshape(-1, len(m2))
+        subtree[v] = (matmul_mod(arr, m2, p).reshape(len(core), -1), l1 + l2)
     arr, labels = subtree.pop(tree._children[0][0][0])
-    data = matmul_mod(leaf_mats[0], arr.reshape(len(arr), -1), p).reshape(model.dims[1], *arr.shape[1:])
+    data = matmul_mod(leaf_mats[0], arr, p).reshape([model.dims[lab] for lab in [1] + labels])
     return DenseTensor(np.ascontiguousarray(np.transpose(data, np.argsort([1] + labels))), p)
 
 

@@ -45,7 +45,7 @@ class CounterRng:
         self._counter = 0
 
     def next_u64(self) -> int:
-        value = mix64((self._seed + (self._counter + 1) * GAMMA) & MASK64)
+        value = derive_seed(self._seed, self._counter)
         self._counter += 1
         return value
 

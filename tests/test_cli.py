@@ -192,6 +192,16 @@ def test_exit_code_resource_cap(tmp_path):
     assert b"cap" in out.stderr
 
 
+# Models that pass the tensor cap but ask the sampler for far more memory:
+# a 2^22-dimensional leaf matrix, and a 2^21 x 2^23 contraction product.
+BIG_LEAF = {"tree": "((1,2),3)", "f": 4194304, "dims": {"1": 4194304, "2": 2, "3": 2}}
+BIG_PRODUCT = {
+    "tree": "((1,2),(3,4))",
+    "f": {"1": 1, "2": 1, "3": 1, "4": 1, "1-2": 2097152},
+    "dims": {"1": 1, "2": 1, "3": 8388608, "4": 2},
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -200,15 +210,23 @@ def test_exit_code_resource_cap(tmp_path):
         ("hackbusch", "--n", "5462"),
         # 9 x 1500^2 trial work: the trials cap alone would allow hours of prefix scans
         ("permscan", "--tree", "cat1500.txt", "--mode", "sampled", "--trials", "9"),
+        ("verify", "--model", "big_leaf.json", "--subset", "1"),
+        ("verify", "--model", "big_product.json", "--subset", "3"),
     ],
-    ids=["verify_trials", "permscan_trials", "hackbusch_n", "permscan_work"],
+    ids=["verify_trials", "permscan_trials", "hackbusch_n", "permscan_work", "sample_draw", "sample_product"],
 )
 def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
     from tncuts import cli
 
-    (tmp_path / "cat1500.txt").write_text(CAT1500, encoding="utf-8")
+    files = {
+        "cat1500.txt": CAT1500,
+        "big_leaf.json": json.dumps(BIG_LEAF),
+        "big_product.json": json.dumps(BIG_PRODUCT),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(ROOT / arg) if arg.startswith("inputs/") else arg for arg in args]
-    assert cli.main([str(tmp_path / arg) if arg == "cat1500.txt" else arg for arg in argv]) == 3
+    assert cli.main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

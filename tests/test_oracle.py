@@ -11,9 +11,11 @@ from tncuts import (
     DEFAULT_PRIME,
     CounterRng,
     DenseTensor,
+    SIZE_CAP,
     SizeCapError,
     TnsModel,
     all_binary_trees,
+    build_almost_perfect_binary,
     build_train_track,
     check_membership,
     complement,
@@ -26,9 +28,10 @@ from tncuts import (
     parse_tree,
     predict_rank,
     random_binary_tree,
+    relabel,
     sample_tns_tensor,
 )
-from tncuts import oracle
+from tncuts import fieldmath, oracle
 from tncuts.fieldmath import is_prime, matmul_mod, rank_mod, validate_prime
 from tncuts.rng import derive_seed, mix64
 from tncuts.trees import EdgeId
@@ -151,13 +154,22 @@ def test_rank_mod_input_contract(matrix, want):
     assert np.array_equal(np.asarray(matrix), before)  # the caller's array is left as it was
 
 
-def test_matmul_mod_exact():
+@pytest.mark.parametrize("k", [0, 1, 2, 13])
+def test_matmul_mod_exact(k):
     p = DEFAULT_PRIME
     rng = np.random.default_rng(2)
-    a = rng.integers(0, p, size=(7, 13), dtype=np.int64)
-    b = rng.integers(0, p, size=(13, 5), dtype=np.int64)
+    a = rng.integers(0, p, size=(7, k), dtype=np.int64)
+    b = rng.integers(0, p, size=(k, 5), dtype=np.int64)
     want = (a.astype(object) @ b.astype(object)) % p
     assert np.array_equal(matmul_mod(a, b, p).astype(object), want)
+
+
+def test_matmul_mod_product_cap():
+    a = np.ones((4097, 1), dtype=np.int64)
+    b = np.ones((1, 4096), dtype=np.int64)
+    assert fieldmath.SIZE_CAP is oracle.SIZE_CAP is SIZE_CAP == 4096 * 4096
+    with pytest.raises(SizeCapError):
+        matmul_mod(a, b, DEFAULT_PRIME)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -203,6 +215,25 @@ def test_sample_core_cap():
         sample_tns_tensor(model, seed=0)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        # one 2^24-entry core and a 2^22 x 2^22 leaf matrix
+        TnsModel.constant(parse_tree("((1,2),3)"), 1 << 22, dims={1: 1 << 22, 2: 2, 3: 2}),
+        # every core exactly 2^24 entries, 62 of them: 2^30 residues in all
+        TnsModel.constant(
+            build_train_track(64), 4096, dims={lab: 4096 if lab in (1, 64) else 1 for lab in range(1, 65)}
+        ),
+        # a 2^24-entry tensor from two 2^24-entry leaf matrices
+        TnsModel.constant(parse_tree("(1,2)"), 4096, dims=4096),
+    ],
+    ids=["leaf_matrix", "many_cores", "two_leaves"],
+)
+def test_sample_draw_cap(model):
+    with pytest.raises(SizeCapError, match="drawing"):
+        sample_tns_tensor(model, seed=0)
+
+
 # SHA-256 of the corpus below, computed before the sampler drew each tensor
 # in one block: it pins the frozen draw order byte for byte.
 SAMPLE_DIGEST = "e1477e056d5b41abbe14d4a97c919d132637aaf903a58ab7e44383bf82c91aa2"
@@ -230,6 +261,32 @@ def test_sampled_tensor_digest():
         dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}
         add(TnsModel(tree, f, dims), i, 1000003 if i % 4 == 0 else DEFAULT_PRIME)
     assert h.hexdigest() == SAMPLE_DIGEST
+
+
+# SHA-256 of the corpus below, computed with the sampler that contracted each
+# subtree as an n-axis array: it pins the contraction order on deeper trees.
+SAMPLE_DIGEST_WIDE = "39f73a5dc5028a1d389036b6a87344565a1c40a09af9fbd0b1c919a9c0fc15e1"
+
+
+def test_sampled_tensor_digest_wide():
+    h = hashlib.sha256()
+    rng = CounterRng(10)
+    for n in range(7, 13):
+        for i, build in enumerate((build_almost_perfect_binary, build_train_track, None)):
+            for trial in range(3):
+                if build is None:
+                    tree = random_binary_tree(n, rng=rng)
+                else:
+                    perm = list(range(1, n + 1))
+                    rng.shuffle(perm)
+                    tree = relabel(build(n), perm)
+                f = {e: 1 + rng.randbelow(4) for e in tree.edges()}
+                dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}
+                p = 1000003 if (i + trial) % 2 else DEFAULT_PRIME
+                t = sample_tns_tensor(TnsModel(tree, f, dims), rng.randbelow(1 << 32), p)
+                h.update(repr(t.shape).encode())
+                h.update(t.data.tobytes())
+    assert h.hexdigest() == SAMPLE_DIGEST_WIDE
 
 
 def test_sample_prime_configurable():
