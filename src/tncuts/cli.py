@@ -6,11 +6,12 @@ explicit --seed (default 0); identical inputs and flags reproduce
 byte-identical output.
 
 Runaway inputs are capped (exit 3): ``verify --trials`` and ``permscan
---mode sampled --trials`` at 100000, and ``hackbusch --n`` at 5461, the
-last leaf count of the sixth landmark interval.  ``permscan --mode
+--mode sampled --trials`` at 100000, and ``hackbusch --n`` at 21845, the
+last leaf count of the seventh landmark interval.  ``permscan --mode
 sampled`` also caps its work, trials x n^2 for a tree of n leaves, at
-2 * 10^7: each trial computes the exponent of one leaf order, one cut DP
-per prefix, which is quadratic in n.  ``verify`` samples only models whose
+2 * 10^7: each trial computes the exponent of one leaf order, one
+root-path update of the cut DP per prefix, O(n * depth), which is still
+quadratic in n on a caterpillar.  ``verify`` samples only models whose
 tensor, drawn block of cores and leaf matrices, and every contraction
 product each hold at most 2^24 entries.
 """
@@ -37,8 +38,8 @@ from .trees import parse_tree
 
 
 _MAX_TRIALS = 100_000
-_MAX_HACKBUSCH_N = 5461
-_MAX_PERMSCAN_WORK = 20_000_000  # trials x n^2; about 20 s at the cap
+_MAX_HACKBUSCH_N = 21845
+_MAX_PERMSCAN_WORK = 20_000_000  # trials x n^2; 7-13 s at the cap on caterpillars
 
 
 class _CliError(ValueError):

@@ -5,7 +5,9 @@ whose removal leaves every component's leaves single-coloured (components
 without leaves are unconstrained); a colour cut leaves every component with
 at least one leaf of each colour.  Minimum sizes and products come from one
 dynamic program over the orientation rooted at leaf 1: a cost pass from the
-leaves up, then a witness walk from the root down.  The maximum colour cut
+leaves up, then a witness walk from the root down.  A growing leaf set (the
+prefixes of a leaf order) updates those costs on one root path per added
+leaf instead of re-running the pass.  The maximum colour cut
 needs no table: one greedy pass from the leaves up finds it.  The two
 verifiers check a given cut in one more pass from the leaves up.
 """
@@ -13,7 +15,7 @@ verifiers check a given cut in one more pass from the leaves up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .trees import EdgeId, Tree
 
@@ -42,20 +44,21 @@ class ProductCut:
 # comparison and tie comes out as it would when counting edges.
 
 
-def _cut_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], list[int]]:
-    # c0[v] / c1[v]: cheapest product of cut weights below v, given that v's
-    # component is coloured 0 (outside A) or 1 (inside A).  A leaf's other
-    # colour costs more than any single weight, which is all a parent
-    # compares it with; at the root (leaf 1) only its own colour is read.
-    c0 = [1] * tree.num_vertices
-    c1 = [1] * tree.num_vertices
-    forbidden = max(weights) + 1
+def _cut_costs(
+    tree: Tree, amask: int, weights: list[int], forbidden: int,
+    vertices: Iterable[int], c0: list[int], c1: list[int],
+) -> None:
+    # Recompute c0[v] / c1[v] for each v in ``vertices``, every vertex after
+    # its children: the cheapest product of cut weights below v, given that
+    # v's component is coloured 0 (outside A) or 1 (inside A).  A leaf's
+    # other colour costs ``forbidden``, more than any single weight, which
+    # is all a parent compares it with; at the root (leaf 1) only its own
+    # colour is read.
     n = tree.n
-    in_a = bin(amask)[:1:-1].ljust(n, "0")  # in_a[i] == "1": leaf i + 1 is in A
     children = tree._children
-    for v in tree._postorder:
+    for v in vertices:
         if v < n:
-            b0, b1 = (forbidden, 1) if in_a[v] == "1" else (1, forbidden)
+            b0, b1 = (forbidden, 1) if amask >> v & 1 else (1, forbidden)
         else:
             b0 = b1 = 1
         for u, ei in children[v]:
@@ -66,6 +69,13 @@ def _cut_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], l
             b1 *= u1 if u1 < cut else cut
         c0[v] = b0
         c1[v] = b1
+
+
+def _full_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], list[int]]:
+    """c0 and c1 of every vertex, from one pass from the leaves up."""
+    c0 = [1] * tree.num_vertices
+    c1 = [1] * tree.num_vertices
+    _cut_costs(tree, amask, weights, max(weights) + 1, tree._postorder, c0, c1)
     return c0, c1
 
 
@@ -73,19 +83,39 @@ def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
     """Cheapest product of weights over the monochromatic cuts for the leaf mask."""
     if amask == 0 or amask == tree._full_mask:
         return 1
-    c0, c1 = _cut_costs(tree, amask, weights)
+    c0, c1 = _full_costs(tree, amask, weights)
     return c1[0] if amask & 1 else c0[0]
 
 
-def _min_mono_size(tree: Tree, amask: int) -> int:
-    return _cheapest_cut(tree, amask, [2] * len(tree._edge_ids)).bit_length() - 1
+def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
+    """Minimal monochromatic cut sizes of the prefixes of ``order``, a list of leaf vertices.
+
+    Yields the size for {order[0], ..., order[j - 1]} for j = 1 .. n - 1.
+    A leaf joining A changes c0/c1 only on its path up to the root, so
+    each prefix costs one root-path update after one full pass for the
+    empty prefix: O(n * depth) in all.
+    """
+    weights = [2] * len(tree._edge_ids)
+    forbidden = max(weights) + 1
+    c0, c1 = _full_costs(tree, 0, weights)
+    parent_edge = tree._parent_edge
+    edge_ends = tree._edge_ends
+    amask = 0
+    for v in order[: tree.n - 1]:
+        amask |= 1 << v
+        path = [v]
+        while v:
+            v = edge_ends[parent_edge[v]][0]
+            path.append(v)
+        _cut_costs(tree, amask, weights, forbidden, path, c0, c1)
+        yield (c1[0] if amask & 1 else c0[0]).bit_length() - 1
 
 
 def _product_cut(tree: Tree, amask: int, weights: list[int]) -> tuple[int, frozenset[EdgeId]]:
     """Cheapest product of weights over the monochromatic cuts, with a witness."""
     if amask == 0 or amask == tree._full_mask:
         return 1, frozenset()
-    c0, c1 = _cut_costs(tree, amask, weights)
+    c0, c1 = _full_costs(tree, amask, weights)
     # Witness walk from the root down.  On ties prefer keeping the edge,
     # which pushes cuts towards the leaves.
     cut_edges = []

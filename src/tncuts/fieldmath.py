@@ -84,7 +84,7 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
+        inv = pow(int(a[rank, col]), -1, p)
         # factors and pivot entries are < p, so products fit in int64
         factors = (a[rank + 1 :, col] * inv) % p
         a[rank + 1 :, col:] = (a[rank + 1 :, col:] - factors[:, None] * a[rank, col:]) % p

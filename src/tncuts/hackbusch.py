@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
-from .cuts import _min_mono_size
+from .cuts import _prefix_mono_sizes
 from .rng import CounterRng
 from .trees import Tree, build_almost_perfect_binary
 
@@ -49,10 +49,7 @@ def _prefix_exponent(tree: Tree, order: Sequence[int]) -> ExponentResult:
     """tt_exponent over the prefixes of ``order``, a list of leaf vertices (label - 1)."""
     best = 0
     witness = 1
-    prefix = 0
-    for j in range(1, tree.n):
-        prefix |= 1 << order[j - 1]
-        size = _min_mono_size(tree, prefix)
+    for j, size in enumerate(_prefix_mono_sizes(tree, order), 1):
         if size > best:
             best = size
             witness = j

@@ -234,9 +234,13 @@ class EdgeCheck:
 class ComparisonReport:
     """Per-edge necessary condition for one model's tensors to fit in another.
 
-    ``passed`` means every bond of the second model meets the cut bound
-    induced by the first; that is necessary for inclusion, never sufficient.
-    A failing edge is a proof of non-inclusion.
+    Each edge's ``required`` bond is the largest flattening rank of the
+    first model's tensors at the leaf set that the edge cuts off: the
+    cheapest cut over the first model's bonds clamped at the leaves
+    (``_cut_bound``), which its generic tensors attain.  Every tensor of
+    the second model has rank at most ``actual`` there, so a failing edge
+    is a proof of non-inclusion.  ``passed`` means every edge meets its
+    requirement, which is necessary for inclusion.
     """
 
     edges: tuple[EdgeCheck, ...]
@@ -258,16 +262,19 @@ class ComparisonReport:
 def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
     """Check, edge by edge, whether m2's bonds can possibly contain m1.
 
-    For each edge of m2's tree the required bond is the min-product cut in
-    m1 for the leaf subset that the edge cuts out of m2.
+    For each edge of m2's tree the required bond is ``_cut_bound`` of m1
+    at the leaf subset that the edge cuts out of m2: m1's cheapest cut over
+    its bonds clamped by the leaf dimensions, not over its raw f, which can
+    exceed what the dimensions allow.
     """
     if m1.tree.n != m2.tree.n:
         raise ValueError("models must share the same leaf set")
     if m1.dims != m2.dims:
         raise ValueError("models must have identical leaf dimensions")
+    bonds = _clamped_bonds(m1)  # _cut_bound(m1, side), with the bonds clamped once
     checks = []
     for eid, side in zip(m2.tree.edges(), m2.tree._edge_sides):
-        required = min_product_cut(m1.tree, m2.tree.labels_of_mask(side), m1.f).product
+        required = _cheapest_cut(m1.tree, side, bonds)
         checks.append(EdgeCheck(eid, required, m2.f[eid], m2.f[eid] >= required))
     witness = next((c.edge for c in checks if not c.ok), None)
     return ComparisonReport(tuple(checks), witness is None, witness)

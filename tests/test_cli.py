@@ -207,7 +207,7 @@ BIG_PRODUCT = {
     [
         ("verify", "--model", "inputs/cat4_r2.json", "--subset", "1,3", "--trials", "100001"),
         ("permscan", "--tree", "inputs/cat4.txt", "--mode", "sampled", "--trials", "100001"),
-        ("hackbusch", "--n", "5462"),
+        ("hackbusch", "--n", "21846"),
         # 9 x 1500^2 trial work: the trials cap alone would allow hours of prefix scans
         ("permscan", "--tree", "cat1500.txt", "--mode", "sampled", "--trials", "9"),
         ("verify", "--model", "big_leaf.json", "--subset", "1"),

@@ -17,11 +17,13 @@ from tncuts import (
     landmark_index,
     min_exponent_over_permutations,
     min_mono_cut,
+    random_binary_tree,
     relabel,
     tree_shapes,
     tt_exponent,
 )
 from tncuts.hackbusch import _prefix_exponent
+from tncuts.rng import CounterRng
 
 
 def test_a_seq_values():
@@ -103,6 +105,27 @@ def test_permscan_reads_preimage_prefixes():
         assert min_exponent_over_permutations(tree, "exhaustive") == best, tree.serialize()
 
 
+def _full_dp_exponent(tree, order):
+    """Reference: one full min_mono_cut DP per prefix, first j attaining the maximum."""
+    sizes = [min_mono_cut(tree, [v + 1 for v in order[:j]]).size for j in range(1, tree.n)]
+    best = max(sizes)
+    return best, sizes.index(best) + 1
+
+
+def test_prefix_exponent_matches_full_dp():
+    trees = [t for n in range(2, 8) for t in all_binary_trees(n)]
+    trees += [t for n in range(8, 11) for t in tree_shapes(n)]
+    trees += [random_binary_tree(n, seed=n) for n in (11, 16, 25, 40, 60)]
+    trees += [build_train_track(n) for n in (2, 3, 9, 40, 150)]
+    trees += [build_almost_perfect_binary(n) for n in (21, 22, 85, 86, 341, 1366)]
+    rng = CounterRng(11)
+    for tree in trees:
+        shuffled = list(range(tree.n))
+        rng.shuffle(shuffled)
+        for order in (list(range(tree.n)), shuffled):
+            assert _prefix_exponent(tree, order) == _full_dp_exponent(tree, order), (tree.serialize(), order)
+
+
 def test_min_exponent_guards():
     with pytest.raises(ValueError):
         min_exponent_over_permutations(build_train_track(9), "exhaustive")
@@ -121,6 +144,7 @@ def test_hackbusch_verdict_examples():
     assert (v21.k, v21.inclusion_bond) == (2, 9)
     assert hackbusch_verdict(2, 2).k == 1
     assert hackbusch_verdict(22, 2).k == 3
+    assert hackbusch_verdict(21845, 2).k == 7  # a_7, the CLI's cap
 
 
 def test_verdict_k_independent_of_r():

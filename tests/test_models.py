@@ -139,6 +139,17 @@ def test_compare_models_examples():
     assert self_rep.passed and all(c.ok for c in self_rep.edges)
 
 
+def test_compare_models_clamps_at_leaf_dims():
+    # Bond 5 on dims 2 defines the same tensors as its optimalised model,
+    # so neither model may fail the other's edges.
+    m1 = TnsModel.constant(parse_tree("((1,2),(3,4))"), 5, dims=2)
+    m2 = optimalize(m1)
+    rep = compare_models(m1, m2)
+    assert rep.passed and rep.witness is None, rep
+    assert [c.required for c in rep.edges] == [m2.f[c.edge] for c in rep.edges]
+    assert compare_models(m2, m1).passed
+
+
 def test_compare_models_validation():
     m1 = TnsModel.constant(CAT4, 2)
     m2 = TnsModel.constant(build_train_track(5), 2)
