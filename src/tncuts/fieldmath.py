@@ -95,7 +95,8 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact (a @ b) mod p for int64 inputs with entries in [0, p).
 
-    Accumulates two products per step: 2*(p-1)^2 still fits in int64 for
+    Delayed reduction: both operands are viewed as uint64 and the sum is
+    reduced once per four products, since p - 1 + 4*(p-1)^2 < 2^64 for
     p <= 2^31 - 1.  A product of more than SIZE_CAP entries raises
     SizeCapError before anything is allocated.  This refuses no contraction
     of a tensor within the cap when each bond is at most the dimension
@@ -109,8 +110,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("matmul_mod shape mismatch")
     if m * n > SIZE_CAP:
         raise SizeCapError(f"product of {m * n} entries exceeds the cap of {SIZE_CAP}")
-    out = np.zeros((m, n), dtype=np.int64)
-    for i in range(0, k, 2):
-        out += (a[:, i : i + 2] @ b[i : i + 2, :]) % p
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    out = a[:, :4] @ b[:4] if k > 4 else a @ b
+    out %= p
+    for i in range(4, k, 4):
+        out += a[:, i : i + 4] @ b[i : i + 4]
         out %= p
-    return out
+    return out.view(np.int64)

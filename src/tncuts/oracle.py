@@ -6,10 +6,20 @@ contracts leaf-to-root, each subtree as one matrix from its parent bond to
 its leaves, as in the Hierarchical Tucker format.  All arithmetic is exact in GF(p), so flattening
 ranks are true ranks with no thresholds; a large prime stands in for
 genericity with failure probability on the order of (matrix size)/p.
+
+A draw depends only on the tree, the clamped bonds, the leaf dimensions, the
+seed and p, and callers ask for the same few draws over and over (one per
+trial for every subset of a model).  So sampled tensors are shared and
+read-only: a repeated draw returns the tensor drawn before, from a
+least-recently-used memo that holds at most ``_SAMPLE_MEMO_BYTES`` (4 MiB)
+of tensor data.  A lock guards the memo, not the draw, so the sampler is
+safe to call from several threads.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
@@ -20,6 +30,7 @@ import numpy as np
 from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, matmul_mod, rank_mod, validate_prime
 from .models import TnsModel, _clamped_bonds, _cut_bound
 from .rng import CounterRng, derive_seed
+from .trees import Tree
 
 _MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
 
@@ -49,24 +60,71 @@ class DenseTensor:
         return not self.data.any()
 
 
+# Sampled tensors by draw key, least recently used first; their data holds
+# at most _SAMPLE_MEMO_BYTES bytes, and a tensor larger than that is never kept.
+_SAMPLE_MEMO_BYTES = 1 << 22
+_sample_memo: OrderedDict[tuple, DenseTensor] = OrderedDict()
+_sample_memo_bytes = 0
+_sample_memo_lock = threading.Lock()
+
+
+def _clear_sample_memo() -> None:
+    global _sample_memo_bytes
+    with _sample_memo_lock:
+        _sample_memo.clear()
+        _sample_memo_bytes = 0
+
+
+def _remember(key: tuple, t: DenseTensor) -> None:
+    global _sample_memo_bytes
+    size = t.data.nbytes
+    if size > _SAMPLE_MEMO_BYTES:
+        return
+    with _sample_memo_lock:
+        if key in _sample_memo:  # another thread drew it meanwhile
+            return
+        _sample_memo[key] = t
+        _sample_memo_bytes += size
+        while _sample_memo_bytes > _SAMPLE_MEMO_BYTES:
+            _sample_memo_bytes -= _sample_memo.popitem(last=False)[1].data.nbytes
+
+
 def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) -> DenseTensor:
     """Random tensor of the model, deterministic in (model, seed, p).
 
     Cores are drawn for inner vertices in canonical order, then leaf
     matrices in label order; the draw order is part of the frozen scheme.
+    The returned tensor is shared and read-only (writing into its data
+    raises ValueError): a repeated draw, keyed by the tree, the clamped
+    bonds, the leaf dimensions, the seed and p, returns the same tensor
+    while it stays within the memo's byte budget.
     """
     validate_prime(p)
-    tree = model.tree
-    n = tree.n
+    n = model.tree.n
     if n > _MAX_AXES:
         raise SizeCapError(f"a dense tensor on {n} leaves exceeds numpy's cap of {_MAX_AXES} axes")
-    total = prod(model.shape())
+    dims = model.shape()
+    total = prod(dims)
     if total > SIZE_CAP:
         raise SizeCapError(f"dense tensor of {total} entries exceeds the cap of {SIZE_CAP}")
     bonds = _clamped_bonds(model)
+    key = (model.tree, tuple(bonds), dims, seed, p)
+    with _sample_memo_lock:
+        t = _sample_memo.get(key)
+        if t is not None:
+            _sample_memo.move_to_end(key)
+            return t
+    t = _draw(model.tree, bonds, dims, seed, p)
+    _remember(key, t)
+    return t
+
+
+def _draw(tree: Tree, bonds: list[int], dims: tuple[int, ...], seed: int, p: int) -> DenseTensor:
+    """The sampler proper: a fresh read-only tensor, no memo."""
+    n = tree.n
     core_edges = [sorted(ei for _, ei in tree._nbrs[v]) for v in range(n, tree.num_vertices)]
     shapes = [tuple(bonds[i] for i in edge_idx) for edge_idx in core_edges]
-    shapes += [(model.dims[leaf + 1], bonds[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
+    shapes += [(dims[leaf], bonds[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
     sizes = [prod(shape) for shape in shapes]
     if sum(sizes) > SIZE_CAP:
         raise SizeCapError(f"drawing {sum(sizes)} entries exceeds the cap of {SIZE_CAP}")
@@ -91,8 +149,10 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
         arr = arr.reshape(len(core), len(m2), -1).transpose(0, 2, 1).reshape(-1, len(m2))
         subtree[v] = (matmul_mod(arr, m2, p).reshape(len(core), -1), l1 + l2)
     arr, labels = subtree.pop(tree._children[0][0][0])
-    data = matmul_mod(leaf_mats[0], arr, p).reshape([model.dims[lab] for lab in [1] + labels])
-    return DenseTensor(np.ascontiguousarray(np.transpose(data, np.argsort([1] + labels))), p)
+    data = matmul_mod(leaf_mats[0], arr, p).reshape([dims[lab - 1] for lab in [1] + labels])
+    data = np.ascontiguousarray(np.transpose(data, np.argsort([1] + labels)))
+    data.flags.writeable = False
+    return DenseTensor(data, p)
 
 
 def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:

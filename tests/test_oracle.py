@@ -1,6 +1,7 @@
 """Oracle sampling, exact ranks, membership, and the field kernels."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -164,6 +165,21 @@ def test_matmul_mod_exact(k):
     assert np.array_equal(matmul_mod(a, b, p).astype(object), want)
 
 
+@pytest.mark.parametrize("k", range(1, 10))
+def test_matmul_mod_delayed_reduction_at_the_largest_entries(k):
+    # every entry p - 1 at the largest prime: each four-term partial sum is
+    # as large as it can get before the reduction
+    p = DEFAULT_PRIME
+    a = np.full((6, k), p - 1, dtype=np.int64)
+    b = np.full((10, k), p - 1, dtype=np.int64)[::2].T  # transposed and strided: not contiguous
+    assert not b.flags.c_contiguous and not b.flags.f_contiguous
+    entry = k * (p - 1) ** 2 % p  # exact, in Python ints
+    for x, y in [(a, b), (b.T, a.T)]:
+        got = matmul_mod(x, y, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[entry] * y.shape[1]] * x.shape[0]
+
+
 def test_matmul_mod_product_cap():
     a = np.ones((4097, 1), dtype=np.int64)
     b = np.ones((1, 4096), dtype=np.int64)
@@ -239,28 +255,42 @@ def test_sample_draw_cap(model):
 SAMPLE_DIGEST = "e1477e056d5b41abbe14d4a97c919d132637aaf903a58ab7e44383bf82c91aa2"
 
 
+def draw_twice(corpus):
+    """Digests of two passes over a sample corpus, the first with an empty memo.
+
+    The first pass pins the sampler; the second, mostly memo hits, pins that
+    the memo returns exactly what the sampler drew.
+    """
+    oracle._clear_sample_memo()
+    digests = []
+    for _ in range(2):
+        h = hashlib.sha256()
+        for model, seed, p in corpus():
+            t = sample_tns_tensor(model, seed, p)
+            h.update(repr(t.shape).encode())
+            h.update(t.data.tobytes())
+        digests.append(h.hexdigest())
+    return digests
+
+
 def test_sampled_tensor_digest():
-    h = hashlib.sha256()
+    assert draw_twice(digest_corpus) == [SAMPLE_DIGEST] * 2
 
-    def add(model, seed, p=DEFAULT_PRIME):
-        t = sample_tns_tensor(model, seed, p)
-        h.update(repr(t.shape).encode())
-        h.update(t.data.tobytes())
 
+def digest_corpus():
     trees = {n: sorted(all_binary_trees(n), key=lambda t: t.serialize()) for n in range(2, 7)}
     for n in range(2, 6):
         for tree in trees[n]:
             for r in (1, 2, 3):
                 for seed in (0, 1):
-                    add(TnsModel.constant(tree, r), seed)
+                    yield TnsModel.constant(tree, r), seed, DEFAULT_PRIME
     rng = CounterRng(4)
     for i in range(80):
         n = 2 + rng.randbelow(5)
         tree = trees[n][rng.randbelow(len(trees[n]))]
         f = {e: 1 + rng.randbelow(4) for e in tree.edges()}
         dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}
-        add(TnsModel(tree, f, dims), i, 1000003 if i % 4 == 0 else DEFAULT_PRIME)
-    assert h.hexdigest() == SAMPLE_DIGEST
+        yield TnsModel(tree, f, dims), i, 1000003 if i % 4 == 0 else DEFAULT_PRIME
 
 
 # SHA-256 of the corpus below, computed with the sampler that contracted each
@@ -269,7 +299,10 @@ SAMPLE_DIGEST_WIDE = "39f73a5dc5028a1d389036b6a87344565a1c40a09af9fbd0b1c919a9c0
 
 
 def test_sampled_tensor_digest_wide():
-    h = hashlib.sha256()
+    assert draw_twice(digest_corpus_wide) == [SAMPLE_DIGEST_WIDE] * 2
+
+
+def digest_corpus_wide():
     rng = CounterRng(10)
     for n in range(7, 13):
         for i, build in enumerate((build_almost_perfect_binary, build_train_track, None)):
@@ -283,10 +316,7 @@ def test_sampled_tensor_digest_wide():
                 f = {e: 1 + rng.randbelow(4) for e in tree.edges()}
                 dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}
                 p = 1000003 if (i + trial) % 2 else DEFAULT_PRIME
-                t = sample_tns_tensor(TnsModel(tree, f, dims), rng.randbelow(1 << 32), p)
-                h.update(repr(t.shape).encode())
-                h.update(t.data.tobytes())
-    assert h.hexdigest() == SAMPLE_DIGEST_WIDE
+                yield TnsModel(tree, f, dims), rng.randbelow(1 << 32), p
 
 
 def test_sample_prime_configurable():
@@ -296,6 +326,88 @@ def test_sample_prime_configurable():
     assert flattening_rank(t, {1, 3}) == 4
     with pytest.raises(ValueError):
         sample_tns_tensor(m, seed=0, p=1000000)
+
+
+# -- the sample memo ------------------------------------------------------------
+
+
+def memo_bytes():
+    return sum(t.data.nbytes for t in oracle._sample_memo.values())
+
+
+def test_sampled_tensors_are_read_only():
+    model = TnsModel.constant(CAT4, 2)
+    oracle._clear_sample_memo()
+    for t in (sample_tns_tensor(model, seed=5), sample_tns_tensor(model, seed=5)):  # a miss, then a hit
+        with pytest.raises(ValueError):
+            t.data[0, 0, 0, 0] = 1
+        with pytest.raises(ValueError):
+            t.data.fill(0)
+
+
+def test_sample_memo_stays_within_its_budget():
+    budget = oracle._SAMPLE_MEMO_BYTES
+    # 2^17 entries of 8 bytes each: one MiB a tensor, a quarter of the budget
+    model = TnsModel.constant(build_train_track(17), 2)
+    oracle._clear_sample_memo()
+    drawn = [sample_tns_tensor(model, seed) for seed in range(6)]
+    assert sum(t.data.nbytes for t in drawn) > budget
+    assert memo_bytes() == oracle._sample_memo_bytes <= budget
+    # seeds 2-5 are kept and hit, most recent use last; redrawing 1 and 0
+    # then drops the two least recently used, 5 and 4
+    assert [sample_tns_tensor(model, seed) is drawn[seed] for seed in (5, 4, 3, 2, 1, 0)] == [True] * 4 + [False] * 2
+    assert [sample_tns_tensor(model, seed) is drawn[seed] for seed in (3, 2)] == [True] * 2
+    assert memo_bytes() == oracle._sample_memo_bytes <= budget
+    # 2^20 entries, twice the budget: never kept, and nothing is dropped for it
+    big = TnsModel.constant(build_train_track(20), 2)
+    t = sample_tns_tensor(big, 0)
+    assert t.data.nbytes > budget
+    assert sample_tns_tensor(big, 0) is not t
+    assert np.array_equal(sample_tns_tensor(big, 0).data, t.data)
+    assert sample_tns_tensor(model, 3) is drawn[3]
+
+
+def test_sample_memo_key_covers_every_input():
+    oracle._clear_sample_memo()
+    model = TnsModel.constant(CAT4, 2, dims=3)
+    t = sample_tns_tensor(model, seed=0)
+    assert sample_tns_tensor(model, seed=0) is t
+    assert sample_tns_tensor(TnsModel.constant(parse_tree("((3,4),(2,1))"), 2, dims=3), seed=0) is t  # an equal tree
+    for seed, p in [(1, DEFAULT_PRIME), (0, 1000003)]:
+        other = sample_tns_tensor(model, seed, p)
+        assert other is not t and not np.array_equal(other.data, t.data)
+    inner = next(e for e in CAT4.edges() if len(e.labels) == 2)
+    model.f[inner] = 3  # a changed bond after the draw
+    changed = sample_tns_tensor(model, seed=0)
+    assert changed is not t
+    assert (flattening_rank(t, {1, 2}), flattening_rank(changed, {1, 2})) == (2, 3)
+    oracle._clear_sample_memo()
+    assert np.array_equal(sample_tns_tensor(TnsModel(CAT4, dict(model.f), model.dims), seed=0).data, changed.data)
+
+
+def test_sample_memo_is_thread_safe():
+    keys = [(TnsModel.constant(tree, r), seed) for tree in all_binary_trees(5) for r in (2, 3) for seed in (0, 1)]
+
+    def draw_all():
+        return [sample_tns_tensor(model, seed).data.tobytes() for model, seed in keys * 3]
+
+    oracle._clear_sample_memo()
+    want = draw_all()
+    oracle._clear_sample_memo()
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def worker(i):
+        start.wait()
+        got[i] = draw_all()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == [want] * 4
+    assert memo_bytes() == oracle._sample_memo_bytes <= oracle._SAMPLE_MEMO_BYTES
 
 
 # -- flattening rank -----------------------------------------------------------
