@@ -200,6 +200,11 @@ BIG_PRODUCT = {
     "f": {"1": 1, "2": 1, "3": 1, "4": 1, "1-2": 2097152},
     "dims": {"1": 1, "2": 1, "3": 8388608, "4": 2},
 }
+# Models within every entry cap whose kernels would run for too long: a
+# 2^10 x 2^10 x 2^10 contraction, and the elimination of a 2^10 x 2^10
+# flattening (2^30 multiply-adds each).
+BIG_PRODUCT_WORK = {"tree": "(1,2)", "f": 1024, "dims": {"1": 1024, "2": 1024}}
+BIG_RANK_WORK = {"tree": "(1,2)", "f": 1, "dims": {"1": 1024, "2": 1024}}
 
 
 @pytest.mark.parametrize(
@@ -212,8 +217,19 @@ BIG_PRODUCT = {
         ("permscan", "--tree", "cat1500.txt", "--mode", "sampled", "--trials", "9"),
         ("verify", "--model", "big_leaf.json", "--subset", "1"),
         ("verify", "--model", "big_product.json", "--subset", "3"),
+        ("verify", "--model", "big_product_work.json", "--subset", "1"),
+        ("verify", "--model", "big_rank_work.json", "--subset", "1"),
     ],
-    ids=["verify_trials", "permscan_trials", "hackbusch_n", "permscan_work", "sample_draw", "sample_product"],
+    ids=[
+        "verify_trials",
+        "permscan_trials",
+        "hackbusch_n",
+        "permscan_work",
+        "sample_draw",
+        "sample_product",
+        "product_work",
+        "rank_work",
+    ],
 )
 def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
     from tncuts import cli
@@ -222,6 +238,8 @@ def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
         "cat1500.txt": CAT1500,
         "big_leaf.json": json.dumps(BIG_LEAF),
         "big_product.json": json.dumps(BIG_PRODUCT),
+        "big_product_work.json": json.dumps(BIG_PRODUCT_WORK),
+        "big_rank_work.json": json.dumps(BIG_RANK_WORK),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

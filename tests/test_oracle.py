@@ -130,29 +130,129 @@ def test_rank_kernels_known_rank(p):
 
 
 P = DEFAULT_PRIME
+NOT_2D = "rank_mod expects a 2-d array"
+OVER_MAX_PRIME = "exceeds 2\\^31-1"
 
 
 @pytest.mark.parametrize(
-    "matrix, want",
+    "matrix, p, want",
     [
-        (np.ones(3, dtype=np.int64), ValueError),
-        (np.ones((2, 2, 2), dtype=np.int64), ValueError),
-        (np.zeros((0, 5), dtype=np.int64), 0),
-        (np.zeros((5, 0), dtype=np.int64), 0),
-        (np.array([[P, -1], [2 * P + 1, P - 1]], dtype=np.int64), 2),  # reduces to [[0, P-1], [1, P-1]]
-        (np.array([[P, 0], [0, -P]], dtype=np.int64), 0),  # reduces to zero
-        ([[1, 2], [3, 4]], 2),
+        (np.ones(3, dtype=np.int64), P, NOT_2D),
+        (np.ones((2, 2, 2), dtype=np.int64), P, NOT_2D),
+        (np.zeros((0, 5), dtype=np.int64), P, 0),
+        (np.zeros((5, 0), dtype=np.int64), P, 0),
+        (np.array([[P, -1], [2 * P + 1, P - 1]], dtype=np.int64), P, 2),  # reduces to [[0, P-1], [1, P-1]]
+        (np.array([[P, 0], [0, -P]], dtype=np.int64), P, 0),  # reduces to zero
+        ([[1, 2], [3, 4]], P, 2),
+        # the smallest prime above 2^31: its products no longer fit the delayed reduction
+        (np.eye(2, dtype=np.int64), fieldmath.MAX_PRIME + 12, OVER_MAX_PRIME),
     ],
-    ids=["1d", "3d", "0x5", "5x0", "unreduced", "multiples_of_p", "nested_list"],
+    ids=["1d", "3d", "0x5", "5x0", "unreduced", "multiples_of_p", "nested_list", "p_above_max"],
 )
-def test_rank_mod_input_contract(matrix, want):
+def test_rank_mod_input_contract(matrix, p, want):
     before = np.array(matrix, copy=True)
-    if want is ValueError:
-        with pytest.raises(ValueError, match="rank_mod expects a 2-d array"):
-            rank_mod(matrix, P)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            rank_mod(matrix, p)
     else:
-        assert rank_mod(matrix, P) == want
+        assert rank_mod(matrix, p) == want
     assert np.array_equal(np.asarray(matrix), before)  # the caller's array is left as it was
+
+
+def reference_rank(matrix, p: int) -> int:
+    """Rank over GF(p) by Gaussian elimination on Python ints."""
+    rows = [[int(x) % p for x in row] for row in np.asarray(matrix).tolist()]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _at_the_bound(p: int, pivots: list[int], k: int) -> np.ndarray:
+    """Pivot rows, one per column in ``pivots`` (taken in that order), then
+    three copies of their sum; rank len(pivots).
+
+    The pivot row of column j is 1 at j and p - 1 at every free column (one
+    that is no pivot) right of j.  Each pivot adds the largest product,
+    (p - 1)^2, to those entries of the last rows, so four updates meet the
+    delayed-reduction bound exactly, and the last rows reduce to zero only
+    if no sum wrapped around 2^64.
+    """
+    free = [c for c in range(k) if c not in pivots]
+    rows = []
+    for j in pivots:
+        row = [0] * k
+        row[j] = 1
+        for c in free:
+            if c > j:
+                row[c] = p - 1
+        rows.append(row)
+    total = [sum(col) % p for col in zip(*rows)]
+    return np.array(rows + [total] * 3, dtype=np.int64)
+
+
+def _rank_corpus(p: int) -> list[np.ndarray]:
+    """Matrices that exercise every branch of the delayed-reduction elimination."""
+    rng = np.random.default_rng(p)
+    mats = []
+    for m, n, r in [(6, 6, 6), (9, 27, 4), (27, 9, 9), (20, 20, 13), (1, 12, 1), (12, 1, 1), (30, 30, 0)]:
+        x = rng.integers(0, p, size=(m, r), dtype=np.int64)
+        y = rng.integers(0, p, size=(r, n), dtype=np.int64)
+        mats.append(matmul_mod(x, y, p))  # a seeded product of rank at most r
+    full = np.full((12, 12), p - 1, dtype=np.int64)
+    mats += [np.triu(full), np.tril(full), np.triu(full)[:, ::-1]]
+    staircase = _at_the_bound(p, list(range(8)), 14)
+    # the first four pivots end right of the free columns 6-11, which the
+    # next four update again: a reduction must start at the leftmost
+    # column its four updates touched, not at the last pivot
+    out_of_order = _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)
+    mats += [staircase, staircase.T, out_of_order, out_of_order.T]
+    late = np.zeros((10, 16), dtype=np.int64)  # pivots start past column 4, after zero columns
+    late[:, 6:] = rng.integers(0, p, size=(10, 10), dtype=np.int64)
+    late[3] = late[1] + late[2]  # one dependent row: rank 9
+    mats += [late, late.T]
+    # unreduced and negative entries; the first rows start with multiples of p
+    unreduced = rng.integers(-3 * p, 3 * p, size=(14, 18), dtype=np.int64)
+    unreduced[:5, :3] = p * rng.integers(-2, 3, size=(5, 3))
+    mats += [unreduced, unreduced.T]
+    frozen = rng.integers(0, p, size=(16, 24), dtype=np.int64)
+    frozen.flags.writeable = False  # read-only
+    mats += [
+        frozen,
+        frozen.T,  # transposed view
+        np.asfortranarray(frozen),  # Fortran order
+        frozen[1::3, ::2],  # strided slice
+    ]
+    return mats
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003, 2147483629])
+def test_rank_mod_matches_reference(p):
+    for mat in _rank_corpus(p):
+        before = mat.copy()
+        assert rank_mod(mat, p) == reference_rank(mat, p), mat.shape
+        assert np.array_equal(mat, before)  # the caller's array is left as it was
+
+
+def test_kernels_refuse_work_above_the_cap():
+    # a k x k x k product and a 512 x k' elimination, each just over its cap,
+    # refused before any work is done
+    k = round(fieldmath.MATMUL_WORK_CAP ** (1 / 3)) + 1
+    assert k**3 > fieldmath.MATMUL_WORK_CAP and k * k <= SIZE_CAP
+    with pytest.raises(SizeCapError, match="multiply-adds exceeds the cap"):
+        matmul_mod(np.zeros((k, k), dtype=np.int64), np.zeros((k, k), dtype=np.int64), P)
+    wide = np.broadcast_to(np.int64(0), (512, fieldmath.RANK_WORK_CAP // 512**2 + 1))  # a view: no memory
+    for mat in (wide, wide.T):
+        with pytest.raises(SizeCapError, match="multiply-adds exceeds the cap"):
+            rank_mod(mat, P)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 13])
@@ -178,6 +278,13 @@ def test_matmul_mod_delayed_reduction_at_the_largest_entries(k):
         got = matmul_mod(x, y, p)
         assert got.dtype == np.int64
         assert got.tolist() == [[entry] * y.shape[1]] * x.shape[0]
+
+
+def test_matmul_mod_refuses_primes_above_the_bound():
+    a = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError, match=OVER_MAX_PRIME):
+        matmul_mod(a, a, fieldmath.MAX_PRIME + 12)
+    assert matmul_mod(a, a, fieldmath.MAX_PRIME).tolist() == [[2, 2], [2, 2]]
 
 
 def test_matmul_mod_product_cap():
