@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 from typing import Iterable
 
 from .cuts import max_colour_cut, min_mono_cut
@@ -129,6 +130,13 @@ def _cmd_hardset(args) -> dict:
     tree = _load_tree(args.tree)
     subset = construct_hard_subset(tree)
     size = min_mono_cut(tree, subset).size
+    # r**size has more than `limit` digits exactly when it is >= 10**limit.
+    # The logarithm decides that without the power, except within rounding of
+    # the edge, where the power has about `limit` digits and is cheap.
+    digits = size * log10(args.r)
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit - 1 and (digits >= limit + 1 or args.r**size >= 10**limit):
+        raise _CliError(f"rank_bound r**{size} has more than {limit} digits, Python's limit for printing an int")
     return {"subset": sorted(subset), "minmono": size, "rank_bound": args.r**size}
 
 

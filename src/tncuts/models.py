@@ -232,15 +232,20 @@ class EdgeCheck:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-edge necessary condition for one model's tensors to fit in another.
+    """Per-edge test of whether one model's tensors all lie in another.
 
     Each edge's ``required`` bond is the largest flattening rank of the
     first model's tensors at the leaf set that the edge cuts off: the
     cheapest cut over the first model's bonds clamped at the leaves
     (``_cut_bound``), which its generic tensors attain.  Every tensor of
     the second model has rank at most ``actual`` there, so a failing edge
-    is a proof of non-inclusion.  ``passed`` means every edge meets its
-    requirement, which is necessary for inclusion.
+    is a proof of non-inclusion.  The test is exact: a tensor lies in a
+    tree model exactly when each edge's flattening rank is at most that
+    edge's bond (Hackbusch and Kühn, J. Fourier Anal. Appl. 2009; Falcó
+    and Hackbusch, Found. Comput. Math. 2012), so ``passed``, every edge
+    meeting its requirement, holds exactly when the first model is
+    contained in the second.  The JSON ``note`` still reads "necessary
+    condition", as the documented outputs print it.
     """
 
     edges: tuple[EdgeCheck, ...]
@@ -260,12 +265,15 @@ class ComparisonReport:
 
 
 def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
-    """Check, edge by edge, whether m2's bonds can possibly contain m1.
+    """Decide, edge by edge, whether m2 contains every tensor of m1.
 
     For each edge of m2's tree the required bond is ``_cut_bound`` of m1
     at the leaf subset that the edge cuts out of m2: m1's cheapest cut over
     its bonds clamped by the leaf dimensions, not over its raw f, which can
-    exceed what the dimensions allow.
+    exceed what the dimensions allow.  m1's generic tensor attains every
+    required bond at once, and m2 holds exactly the tensors whose edge
+    flattening ranks stay within its bonds, so the report passes exactly
+    when m1 is contained in m2.
     """
     if m1.tree.n != m2.tree.n:
         raise ValueError("models must share the same leaf set")

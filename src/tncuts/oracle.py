@@ -122,9 +122,13 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
 def _draw(tree: Tree, bonds: list[int], dims: tuple[int, ...], seed: int, p: int) -> DenseTensor:
     """The sampler proper: a fresh read-only tensor, no memo."""
     n = tree.n
-    core_edges = [sorted(ei for _, ei in tree._nbrs[v]) for v in range(n, tree.num_vertices)]
+    core_edges = [
+        sorted([tree._parent_edge[v], *(ei for _, ei in tree._children[v])]) for v in range(n, tree.num_vertices)
+    ]
     shapes = [tuple(bonds[i] for i in edge_idx) for edge_idx in core_edges]
-    shapes += [(dims[leaf], bonds[tree._nbrs[leaf][0][1]]) for leaf in range(n)]
+    # leaf 1 is the root: its one edge is edge 0, its only child edge
+    leaf_edges = [tree._children[0][0][1], *tree._parent_edge[1:n]]
+    shapes += [(dims[leaf], bonds[leaf_edges[leaf]]) for leaf in range(n)]
     sizes = [prod(shape) for shape in shapes]
     if sum(sizes) > SIZE_CAP:
         raise SizeCapError(f"drawing {sum(sizes)} entries exceeds the cap of {SIZE_CAP}")

@@ -76,13 +76,14 @@ class Tree:
     raw adjacency dict plus a vertex -> label map and normalises it.
     Internally vertices are renumbered so that vertex i < n is the leaf
     with label i + 1 and inner vertices follow in a canonical order, which
-    makes every traversal deterministic.
+    makes every traversal deterministic.  The one adjacency kept is the
+    orientation rooted at vertex 0: ``_children``, ``_parent_edge`` and
+    ``_postorder``; every walk over it is a loop, never a recursion.
     """
 
     __slots__ = (
         "n",
         "num_vertices",
-        "_nbrs",
         "_edge_ids",
         "_edge_pos",
         "_edge_ends",
@@ -160,15 +161,11 @@ class Tree:
         # Rooted orientation at vertex 0 (the leaf labelled 1): every edge's
         # ends are (parent, child) from the walk above.  Reused by the cut
         # dynamic programs, serialize() and the oracle's contraction order.
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
         children: list[list[tuple[int, int]]] = [[] for _ in range(num_vertices)]
         parent_edge = [-1] * num_vertices
         for i, (u, v) in enumerate(self._edge_ends):
-            nbrs[u].append((v, i))
-            nbrs[v].append((u, i))
             children[u].append((v, i))
             parent_edge[v] = i
-        self._nbrs = tuple(tuple(sorted(lst)) for lst in nbrs)
         self._children = tuple(tuple(sorted(c)) for c in children)
         self._parent_edge = tuple(parent_edge)
         bfs = [0]
@@ -320,21 +317,19 @@ def build_almost_perfect_binary(n: int) -> Tree:
         raise ValueError("need at least 2 leaves")
     base = 1 << (n.bit_length() - 1)
     extra = n - base
-
-    def expr(lo: int, hi: int) -> str:
-        if lo == hi:
-            if lo <= extra:
-                return f"({2 * lo - 1},{2 * lo})"
-            return str(lo + extra)
-        mid = (lo + hi) // 2
-        return f"({expr(lo, mid)},{expr(mid + 1, hi)})"
-
-    return parse_tree(expr(1, base))
+    row = [f"({2 * i - 1},{2 * i})" if i <= extra else str(i + extra) for i in range(1, base + 1)]
+    while len(row) > 1:  # pair the row of subtree expressions, bottom up
+        row = [f"({left},{right})" for left, right in zip(row[::2], row[1::2])]
+    return parse_tree(row[0])
 
 
-def _adjacency(tree: Tree) -> dict[int, set[int]]:
-    """Mutable vertex -> neighbour-set copy of the tree, in its own numbering."""
-    return {v: {u for u, _ in tree._nbrs[v]} for v in range(tree.num_vertices)}
+def _adjacency(ends: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Mutable vertex -> neighbour-set map of an edge list such as ``Tree._edge_ends``."""
+    adj: dict[int, set[int]] = {}
+    for u, v in ends:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
 
 
 def relabel(tree: Tree, perm: Mapping[int, int] | Sequence[int]) -> Tree:
@@ -345,7 +340,7 @@ def relabel(tree: Tree, perm: Mapping[int, int] | Sequence[int]) -> Tree:
         range(1, tree.n + 1)
     ):
         raise ValueError("perm must be a bijection on 1..n")
-    return Tree(_adjacency(tree), {v: perm[v + 1] for v in range(tree.n)})
+    return Tree(_adjacency(tree._edge_ends), {v: perm[v + 1] for v in range(tree.n)})
 
 
 def complement(tree: Tree, a: Iterable[int]) -> frozenset[int]:
@@ -358,49 +353,59 @@ def complement(tree: Tree, a: Iterable[int]) -> frozenset[int]:
 
 def _insert_leaf(tree: Tree, edge_index: int, label: int) -> Tree:
     """New tree with an extra leaf attached in the middle of an edge."""
-    adj = _adjacency(tree)
-    labels = {v: v + 1 for v in range(tree.n)}
-    u, v = tree._edge_ends[edge_index]
-    mid = tree.num_vertices
-    leaf = tree.num_vertices + 1
-    adj[u].remove(v)
-    adj[v].remove(u)
-    adj[mid] = {u, v, leaf}
-    adj[u].add(mid)
-    adj[v].add(mid)
-    adj[leaf] = {mid}
-    labels[leaf] = label
-    return Tree(adj, labels)
+    mid, leaf = tree.num_vertices, tree.num_vertices + 1
+    ends = list(tree._edge_ends)
+    u, v = ends[edge_index]
+    ends[edge_index : edge_index + 1] = [(u, mid), (mid, v), (mid, leaf)]
+    return Tree(_adjacency(ends), {i: i + 1 for i in range(tree.n)} | {leaf: label})
+
+
+def _grown(tree: Tree) -> Iterator[Tree]:
+    """The tree with one more leaf, labelled n + 1, on each edge in turn."""
+    return (_insert_leaf(tree, i, tree.n + 1) for i in range(len(tree.edges())))
 
 
 def all_binary_trees(n: int) -> Iterator[Tree]:
-    """All (2n-5)!! leaf-labelled unrooted binary trees, deterministically."""
+    """All (2n-5)!! leaf-labelled unrooted binary trees, deterministically.
+
+    Depth first over leaf insertions, one generator per tree on the stack.
+    """
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    if n == 2:
-        yield build_train_track(2)
-        return
-    for smaller in all_binary_trees(n - 1):
-        for i in range(len(smaller.edges())):
-            yield _insert_leaf(smaller, i, n)
+    stack = [iter([build_train_track(2)])]
+    while stack:
+        tree = next(stack[-1], None)
+        if tree is None:
+            stack.pop()
+        elif tree.n == n:
+            yield tree
+        else:
+            stack.append(_grown(tree))
 
 
 def _shape_signature(tree: Tree) -> str:
-    """Canonical unlabeled form: minimum over all edge rootings."""
+    """Canonical unlabeled form: minimum over all edge rootings.
 
-    def render(v: int, parent: int) -> str:
-        if v < tree.n:
-            return "L"
-        parts = sorted(render(u, v) for u, _ in tree._nbrs[v] if u != parent)
-        return "(" + "".join(parts) + ")"
+    ``down[v]`` renders v's own subtree in the rooted orientation and
+    ``up[v]`` the rest of the tree seen from v's parent; a leaf renders as
+    "L", an inner vertex as its two sides in sorted order.  The rendering
+    rooted at the edge above v is the sorted pair of the two.
+    """
 
-    best = None
-    for a in range(tree.num_vertices):
-        for b, _ in tree._nbrs[a]:
-            s = "(" + "".join(sorted((render(a, b), render(b, a)))) + ")"
-            if best is None or s < best:
-                best = s
-    return best
+    def pair(x: str, y: str) -> str:
+        return f"({x}{y})" if x <= y else f"({y}{x})"
+
+    down = ["L"] * tree.num_vertices
+    for v in tree._postorder:
+        if v >= tree.n:
+            (a, _), (b, _) = tree._children[v]
+            down[v] = pair(down[a], down[b])
+    up = ["L"] * tree.num_vertices
+    for v in reversed(tree._postorder):
+        if v >= tree.n:
+            (a, _), (b, _) = tree._children[v]
+            up[a], up[b] = pair(up[v], down[b]), pair(up[v], down[a])
+    return min(pair(down[v], up[v]) for v in range(1, tree.num_vertices))
 
 
 def tree_shapes(n: int) -> list[Tree]:
@@ -408,14 +413,11 @@ def tree_shapes(n: int) -> list[Tree]:
     if n < 2:
         raise ValueError("need at least 2 leaves")
     reps = [build_train_track(2)]
-    for k in range(3, n + 1):
+    for _ in range(3, n + 1):
         seen: dict[str, Tree] = {}
         for rep in reps:
-            for i in range(len(rep.edges())):
-                candidate = _insert_leaf(rep, i, k)
-                sig = _shape_signature(candidate)
-                if sig not in seen:
-                    seen[sig] = candidate
+            for candidate in _grown(rep):
+                seen.setdefault(_shape_signature(candidate), candidate)
         reps = [seen[sig] for sig in sorted(seen)]
     return reps
 

@@ -37,6 +37,7 @@ from tncuts import (
     verify_colour_cut,
     verify_mono_cut,
 )
+from tncuts.models import _cut_bound
 from tncuts.rng import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +51,7 @@ BOUND_SEED = 202
 KRON_SEED = 303
 OPT_SEED = 404
 GROWTH_SEED = 505
+GENERIC_SEED = 606
 RETRY_SEED = 424242
 
 
@@ -326,3 +328,36 @@ def test_criterion_12_cli_determinism():
         assert out.returncode == 0, (name, out.stderr.decode())
         assert out.stdout == (GOLDEN / f"{name}.json").read_bytes(), name
     print(f"[acceptance] criterion 12 PASS: {len(manifest)} documented invocations reproduce golden bytes")
+
+
+# ----------------------------------------------------------------- criterion 13
+
+
+def test_criterion_13_generic_rank_of_every_model():
+    # the paper's main result: the generic flattening rank of any model, at
+    # any leaf subset, is the cheapest cut over the bonds clamped at the leaves
+    rng = CounterRng(GENERIC_SEED)
+    instances = 0
+    retries = 0
+    non_constant = 0
+    for _ in range(600):
+        n = 2 + rng.randbelow(5)
+        tree = random_binary_tree(n, rng=rng)
+        f = {e: 1 + rng.randbelow(6) for e in tree.edges()}
+        dims = {lab: 1 + rng.randbelow(5) for lab in range(1, n + 1)}
+        model = TnsModel(tree, f, dims)
+        non_constant += model.is_constant() is None
+        for bits in range(1 << n):
+            a = subset_from_bits(n, bits)
+            expected = _cut_bound(model, bits)
+            got = estimate_generic_rank(model, a, trials=3, seed=0)
+            instances += 1
+            if got != expected:
+                retries += 1
+                got = estimate_generic_rank(model, a, trials=3, seed=RETRY_SEED)
+            assert got == expected, (tree.serialize(), model.to_json_dict(), sorted(a))
+    assert (instances, non_constant) == (15132, 491)
+    print(
+        f"[acceptance] criterion 13 PASS: oracle == clamped-bond cut on {instances} instances "
+        f"of 600 random models, {non_constant} with non-constant f ({retries} retried)"
+    )

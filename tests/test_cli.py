@@ -120,6 +120,37 @@ def test_unprintable_output_is_input_error(mode):
     assert out.stderr.startswith(b"error: ") and out.stderr.count(b"\n") == 1
 
 
+def test_hardset_refuses_an_unprintable_rank_bound_before_the_power(tmp_path, capsys):
+    # r**750 would have three million digits: refused from the cut size alone
+    from tncuts import cli
+
+    tree_path = tmp_path / "cat1500.txt"
+    tree_path.write_text(CAT1500, encoding="utf-8")
+    assert cli.main(["hardset", "--tree", str(tree_path), "--r", str(10**3999)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert captured.err == f"error: rank_bound r**750 has more than {limit} digits, Python's limit for printing an int\n"
+
+
+def test_hardset_rank_bound_at_the_digit_limit(capsys):
+    # cat4's hard subset has a 2-edge cut: r**2 has 4300 digits below
+    # r = 10**2150 and 4301 from there on
+    from tncuts import cli
+
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = ["hardset", "--tree", str(ROOT / "inputs/cat4.txt"), "--r"]
+        assert cli.main(argv + [str(10**2150 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["rank_bound"] == (10**2150 - 1) ** 2
+        assert cli.main(argv + [str(10**2150)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than 4300 digits" in captured.err
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 @pytest.mark.parametrize(
     "text",
     [

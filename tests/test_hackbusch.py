@@ -11,6 +11,7 @@ from tncuts import (
     all_binary_trees,
     build_almost_perfect_binary,
     build_train_track,
+    compare_models,
     complement,
     estimate_generic_rank,
     hackbusch_verdict,
@@ -181,3 +182,19 @@ def test_oracle_cross_check_abt6():
         estimate_generic_rank(model, set(range(1, j + 1)), trials=3, seed=0) for j in range(1, 6)
     )
     assert best == 4
+
+
+def test_hackbusch_statement_as_a_computed_inclusion():
+    # dims = r, so no bond is clamped: the almost-perfect model at bond r lies
+    # in the train track at r^k and not at r^k - 1, where k is the exponent
+    for r in (2, 3):
+        for n in range(2, 23):
+            abt = TnsModel.constant(build_almost_perfect_binary(n), r)
+            k = tt_exponent(abt.tree).k
+            tt = build_train_track(n)
+            assert compare_models(abt, TnsModel.constant(tt, r**k, dims=r)).passed, (n, r)
+            report = compare_models(abt, TnsModel.constant(tt, r**k - 1, dims=r))
+            assert not report.passed, (n, r)
+            side = sorted(tt.leaves_left_of(report.witness))
+            assert side == list(range(side[0], side[-1] + 1)), (n, r, side)
+            assert min_mono_cut(abt.tree, side).size == k, (n, r, side)

@@ -19,6 +19,7 @@ from tncuts import (
     build_almost_perfect_binary,
     build_train_track,
     check_membership,
+    compare_models,
     complement,
     estimate_generic_rank,
     flattening_rank,
@@ -634,6 +635,29 @@ def test_exactness_small_sweep():
         for bits in range(1 << 5):
             a = {i + 1 for i in range(5) if (bits >> i) & 1}
             assert estimate_generic_rank(model, a, trials=3, seed=0) == 2 ** min_mono_cut(tree, a).size
+
+
+def test_compare_models_is_exact_on_random_pairs():
+    # m1 is in m2 exactly when every edge of the report passes: a failing
+    # report comes with a sample of m1 outside m2, and no sample of a
+    # passing pair's m1 ever lies outside m2
+    rng = CounterRng(31337)
+    counts = {True: 0, False: 0}
+    for i in range(600):
+        n = 2 + rng.randbelow(6)
+        dims = {lab: 1 + rng.randbelow(3) for lab in range(1, n + 1)}
+        m1, m2 = (
+            TnsModel(tree, {e: 1 + rng.randbelow(6) for e in tree.edges()}, dims)
+            for tree in (random_binary_tree(n, rng=rng), random_binary_tree(n, rng=rng))
+        )
+        passed = compare_models(m1, m2).passed
+        counts[passed] += 1
+        inside = check_membership(sample_tns_tensor(m1, derive_seed(31337, i)), m2)
+        if passed:
+            assert inside, (m1.to_json_dict(), m2.to_json_dict())
+        elif inside:  # criterion 4's retry: one more seed before calling it a miss
+            assert not check_membership(sample_tns_tensor(m1, derive_seed(424242, i)), m2), m1.to_json_dict()
+    assert counts == {True: 337, False: 263}
 
 
 # -- early stop at the cut bound --------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_reference as ref
 from tncuts import (
     EdgeId,
     Tree,
@@ -17,6 +18,7 @@ from tncuts import (
     relabel,
     tree_shapes,
 )
+from tncuts.trees import _shape_signature
 
 CAT4 = "((1,2),(3,4))"
 
@@ -103,7 +105,7 @@ def _hand_built_train_track(n: int) -> Tree:
 
 def test_train_track_matches_hand_built():
     # the builder goes through the parser; same tree, same internal layout
-    fields = ("_edge_ids", "_edge_sides", "_edge_ends", "_nbrs", "_children", "_postorder", "_parent_edge")
+    fields = ("_edge_ids", "_edge_sides", "_edge_ends", "_children", "_postorder", "_parent_edge")
     for n in list(range(2, 80)) + [1500]:
         got, want = build_train_track(n), _hand_built_train_track(n)
         assert got.serialize() == want.serialize(), n
@@ -140,7 +142,7 @@ def test_leaves_left_of():
             tree.resolve_edge(EdgeId(labels))
 
 
-TREE_FIELDS = ("_edge_ids", "_edge_sides", "_edge_ends", "_nbrs", "_children", "_parent_edge", "_postorder")
+TREE_FIELDS = ("_edge_ids", "_edge_sides", "_edge_ends", "_children", "_parent_edge", "_postorder")
 
 
 def test_build_is_canonical_whatever_the_raw_numbering():
@@ -221,3 +223,36 @@ def test_tree_shapes_counts():
 def test_random_tree_deterministic():
     assert random_binary_tree(10, seed=5) == random_binary_tree(10, seed=5)
     assert random_binary_tree(10, seed=5) != random_binary_tree(10, seed=6)
+
+
+# -- the iterative walks against their recursive references -----------------
+
+
+def test_shape_signature_matches_reference():
+    trees = [tree for n in range(2, 8) for tree in all_binary_trees(n)]
+    trees += [random_binary_tree(n, seed=n) for n in range(8, 41)]
+    trees += [build(n) for n in (50, 151, 300) for build in (build_train_track, build_almost_perfect_binary)]
+    for tree in trees:
+        assert _shape_signature(tree) == ref.shape_signature(tree), tree.serialize()
+
+
+def test_shape_signature_of_a_deep_caterpillar():
+    # 3000 leaves nest far deeper than Python's recursion limit
+    n = 3000
+    assert _shape_signature(build_train_track(n)) == "(" * (n - 1) + "LL)" + "L)" * (n - 2)
+
+
+def test_tree_shapes_match_reference():
+    for n in range(4, 11):
+        assert [t.serialize() for t in tree_shapes(n)] == [t.serialize() for t in ref.tree_shapes(n)], n
+
+
+def test_enumeration_order_matches_reference():
+    for n in range(2, 8):
+        got, want = list(all_binary_trees(n)), list(ref.all_binary_trees(n))
+        assert [t.serialize() for t in got] == [t.serialize() for t in want], n
+
+
+def test_almost_perfect_binary_matches_reference():
+    for n in list(range(2, 301)) + [1366]:
+        assert build_almost_perfect_binary(n).serialize() == ref.almost_perfect_binary(n).serialize(), n
