@@ -3,120 +3,90 @@
 Minimal monochromatic cuts, generic flattening-rank predictions,
 train-track versus balanced-tree bond growth, model-inclusion bounds, and
 an exact prime-field rank oracle that cross-checks every prediction.
+
+Importing the package loads none of its modules: each public name, and
+each submodule, loads on first access (PEP 562).  So a command-line
+process compiles only the modules its subcommand runs, and numpy loads
+only with the oracle.
 """
 
 from importlib import import_module
 
-from .cuts import (
-    CutResult,
-    ProductCut,
-    max_colour_cut,
-    min_mono_cut,
-    min_product_cut,
-    verify_colour_cut,
-    verify_mono_cut,
-)
-from .fieldmath import DEFAULT_PRIME, SizeCapError, active_backend, rank_mod
-from .hackbusch import (
-    ExponentResult,
-    LandmarkMismatchError,
-    PermScanResult,
-    Verdict,
-    a_seq,
-    hackbusch_verdict,
-    landmark_index,
-    min_exponent_over_permutations,
-    tt_exponent,
-)
-from .models import (
-    ComparisonReport,
-    EdgeCheck,
-    RankPrediction,
-    TnsModel,
-    compare_models,
-    construct_hard_subset,
-    load_model,
-    model_from_json_dict,
-    optimalize,
-    predict_rank,
-)
-from .rng import CounterRng, derive_seed
-from .trees import (
-    EdgeId,
-    Tree,
-    TreeParseError,
-    all_binary_trees,
-    build_almost_perfect_binary,
-    build_train_track,
-    complement,
-    parse_tree,
-    random_binary_tree,
-    relabel,
-    tree_shapes,
-)
-
 __version__ = "0.1.0"
+
+# Public names by the submodule that defines them.
+_EXPORTS = {
+    "cuts": (
+        "CutResult",
+        "ProductCut",
+        "max_colour_cut",
+        "min_mono_cut",
+        "min_product_cut",
+        "verify_colour_cut",
+        "verify_mono_cut",
+    ),
+    "fieldmath": ("DEFAULT_PRIME", "SIZE_CAP", "SizeCapError", "active_backend", "rank_mod"),
+    "hackbusch": (
+        "ExponentResult",
+        "LandmarkMismatchError",
+        "PermScanResult",
+        "Verdict",
+        "a_seq",
+        "hackbusch_verdict",
+        "landmark_index",
+        "min_exponent_over_permutations",
+        "tt_exponent",
+    ),
+    "models": (
+        "ComparisonReport",
+        "EdgeCheck",
+        "RankPrediction",
+        "TnsModel",
+        "compare_models",
+        "construct_hard_subset",
+        "generic_rank",
+        "load_model",
+        "model_from_json_dict",
+        "optimalize",
+        "predict_rank",
+    ),
+    "oracle": (
+        "DenseTensor",
+        "check_membership",
+        "estimate_generic_rank",
+        "flattening_rank",
+        "kron",
+        "sample_tns_tensor",
+    ),
+    "rng": ("CounterRng", "derive_seed"),
+    "trees": (
+        "EdgeId",
+        "Tree",
+        "TreeParseError",
+        "all_binary_trees",
+        "build_almost_perfect_binary",
+        "build_train_track",
+        "complement",
+        "parse_tree",
+        "random_binary_tree",
+        "relabel",
+        "tree_shapes",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {"cli", *_EXPORTS}
+
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):
-    # The oracle imports numpy, which takes longer to load than the rest of
-    # the package, so its names (PEP 562) and the module load on first access.
-    if name != "oracle" and name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    oracle = import_module(".oracle", __name__)
-    globals().update((attr, getattr(oracle, attr)) for attr in __all__ if attr not in globals())
-    return globals()[name]
+    if name in _SOURCE:
+        value = globals()[name] = getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+        return value
+    if name in _SUBMODULES:  # importing a submodule binds it here too
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CounterRng",
-    "ComparisonReport",
-    "CutResult",
-    "DenseTensor",
-    "DEFAULT_PRIME",
-    "EdgeCheck",
-    "EdgeId",
-    "ExponentResult",
-    "LandmarkMismatchError",
-    "PermScanResult",
-    "ProductCut",
-    "RankPrediction",
-    "SIZE_CAP",
-    "SizeCapError",
-    "TnsModel",
-    "Tree",
-    "TreeParseError",
-    "Verdict",
-    "a_seq",
-    "active_backend",
-    "all_binary_trees",
-    "build_almost_perfect_binary",
-    "build_train_track",
-    "check_membership",
-    "compare_models",
-    "complement",
-    "construct_hard_subset",
-    "derive_seed",
-    "estimate_generic_rank",
-    "flattening_rank",
-    "hackbusch_verdict",
-    "kron",
-    "landmark_index",
-    "load_model",
-    "max_colour_cut",
-    "min_exponent_over_permutations",
-    "min_mono_cut",
-    "min_product_cut",
-    "model_from_json_dict",
-    "optimalize",
-    "parse_tree",
-    "predict_rank",
-    "random_binary_tree",
-    "rank_mod",
-    "relabel",
-    "sample_tns_tensor",
-    "tree_shapes",
-    "tt_exponent",
-    "verify_colour_cut",
-    "verify_mono_cut",
-]
+def __dir__():
+    return sorted({*globals(), *__all__})

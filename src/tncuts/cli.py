@@ -14,6 +14,10 @@ root-path update of the cut DP per prefix, O(n * depth), which is still
 quadratic in n on a caterpillar.  ``verify`` samples only models whose
 tensor, drawn block of cores and leaf matrices, and every contraction
 product each hold at most 2^24 entries.
+
+Start-up is most of a process's time, so each handler imports the package
+modules it runs when it is called, and a process compiles only those:
+numpy, for one, loads only for ``verify``.
 """
 
 from __future__ import annotations
@@ -23,20 +27,6 @@ import json
 import sys
 from math import log10
 from typing import Iterable
-
-from .cuts import max_colour_cut, min_mono_cut
-from .fieldmath import DEFAULT_PRIME, SizeCapError
-from .hackbusch import LandmarkMismatchError, hackbusch_verdict, min_exponent_over_permutations
-from .models import (
-    TnsModel,
-    compare_models,
-    construct_hard_subset,
-    load_model,
-    optimalize,
-    predict_rank,
-)
-from .trees import parse_tree
-
 
 _MAX_TRIALS = 100_000
 _MAX_HACKBUSCH_N = 21845
@@ -53,6 +43,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_tree(path: str):
+    from .trees import parse_tree
+
     with open(path, "r", encoding="utf-8") as fh:
         return parse_tree(fh.read())
 
@@ -69,6 +61,8 @@ def _parse_subset(text: str) -> frozenset[int]:
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
+        from .fieldmath import SizeCapError
+
         raise SizeCapError(f"{flag} {value} exceeds the cap of {cap}")
 
 
@@ -83,6 +77,8 @@ def _render(payload: dict, as_json: bool) -> str:
 
 
 def _cmd_minmono(args) -> dict:
+    from .cuts import max_colour_cut, min_mono_cut
+
     tree = _load_tree(args.tree)
     subset = _parse_subset(args.subset)
     mono = min_mono_cut(tree, subset)
@@ -95,22 +91,38 @@ def _cmd_minmono(args) -> dict:
 
 
 def _cmd_predict(args) -> dict:
+    from .models import load_model, predict_rank
+
     model = load_model(args.model)
     pred = predict_rank(model, _parse_subset(args.subset))
     return {"value": pred.value, "exact": pred.exact, "witness": _sorted_keys(pred.witness)}
 
 
 def _cmd_verify(args) -> dict:
+    from .fieldmath import DEFAULT_PRIME
+    from .models import TnsModel, load_model, predict_rank
     from .oracle import estimate_generic_rank  # the one command that loads numpy
+
     _check_cap("--trials", args.trials, _MAX_TRIALS)
     model = load_model(args.model)
     if args.r is not None:
         model = TnsModel(model.tree, {e: args.r for e in model.tree.edges()}, model.dims)
     subset = _parse_subset(args.subset)
     pred = predict_rank(model, subset)
-    oracle = estimate_generic_rank(model, subset, trials=args.trials, seed=args.seed, p=args.prime)
+    p = DEFAULT_PRIME if args.prime is None else args.prime
+    oracle = estimate_generic_rank(model, subset, trials=args.trials, seed=args.seed, p=p)
     agree = (oracle == pred.value) if pred.exact else (oracle <= pred.value)
     return {"predicted": pred.value, "exact": pred.exact, "oracle": oracle, "agree": agree}
+
+
+def hackbusch_verdict(n: int, r: int):
+    """``tncuts.hackbusch_verdict``, loading its module on first call.
+
+    Kept as a name of this module, so that a caller can replace it here.
+    """
+    from .hackbusch import hackbusch_verdict as verdict
+
+    return verdict(n, r)
 
 
 def _cmd_hackbusch(args) -> dict:
@@ -119,12 +131,17 @@ def _cmd_hackbusch(args) -> dict:
 
 
 def _cmd_compare(args) -> dict:
+    from .models import compare_models, load_model
+
     m1 = load_model(args.model1)
     m2 = load_model(args.model2)
     return compare_models(m1, m2).to_json_dict()
 
 
 def _cmd_hardset(args) -> dict:
+    from .cuts import min_mono_cut
+    from .models import construct_hard_subset
+
     if args.r < 1:
         raise _CliError(f"--r must be >= 1, got {args.r}")
     tree = _load_tree(args.tree)
@@ -141,10 +158,14 @@ def _cmd_hardset(args) -> dict:
 
 
 def _cmd_optimalize(args) -> dict:
+    from .models import load_model, optimalize
+
     return optimalize(load_model(args.model)).to_json_dict()
 
 
 def _cmd_permscan(args) -> dict:
+    from .hackbusch import min_exponent_over_permutations
+
     if args.mode == "sampled":
         _check_cap("--trials", args.trials, _MAX_TRIALS)
     tree = _load_tree(args.tree)
@@ -182,14 +203,14 @@ def build_parser() -> _Parser:
     p.add_argument("--subset", required=True)
     p.add_argument("--r", type=int, default=None, help="override the model with a constant bond r")
     p.add_argument("--trials", type=int, default=3, help=f"most samples drawn (at most {_MAX_TRIALS})")
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    p.add_argument("--prime", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("hackbusch", _cmd_hackbusch, "bond-growth verdict for the balanced tree on n leaves")
     p.add_argument("--n", type=int, required=True, help=f"leaf count (at most {_MAX_HACKBUSCH_N})")
     p.add_argument("--r", type=int, default=2)
 
-    p = add("compare", _cmd_compare, "necessary per-edge condition for model inclusion")
+    p = add("compare", _cmd_compare, "per-edge test of model inclusion, exact")
     p.add_argument("model1", help="candidate inner model JSON file")
     p.add_argument("model2", help="candidate outer model JSON file")
 
@@ -216,17 +237,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # Rendering can fail too (an int too long to print), before any output.
         text = _render(args.func(args), args.json)
-    except LandmarkMismatchError as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return code
     print(text)
     return 0
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """2 for a landmark mismatch, 3 for a resource cap, 1 for an input error, else None."""
+    # Only a loaded module can have raised its error, so loading none here
+    # keeps the error path of a command as light as its success path.
+    hackbusch = sys.modules.get(f"{__package__}.hackbusch")
+    fieldmath = sys.modules.get(f"{__package__}.fieldmath")
+    if hackbusch and isinstance(exc, hackbusch.LandmarkMismatchError):
+        return 2
+    if fieldmath and isinstance(exc, fieldmath.SizeCapError):
+        return 3
+    if isinstance(exc, (ValueError, OSError)):  # json.JSONDecodeError is a ValueError
+        return 1
+    return None
 
 
 if __name__ == "__main__":

@@ -14,22 +14,19 @@ verifiers check a given cut in one more pass from the leaves up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .trees import EdgeId, Tree
 
 
-@dataclass(frozen=True)
-class CutResult:
+class CutResult(NamedTuple):
     """A cut size (None = no such cut exists) plus one witness achieving it."""
 
     size: int | None
     witness: frozenset[EdgeId]
 
 
-@dataclass(frozen=True)
-class ProductCut:
+class ProductCut(NamedTuple):
     """Exact minimum of prod f(e) over monochromatic cuts, with a witness."""
 
     product: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
-from .cuts import _prefix_mono_sizes
+from .cuts import _cheapest_cut, _prefix_mono_sizes
 from .rng import CounterRng
 from .trees import Tree, build_almost_perfect_binary
 
@@ -70,6 +70,30 @@ class PermScanResult(NamedTuple):
     witness: tuple[int, ...]
 
 
+def _memo_exponent(tree: Tree):
+    """k of ``_prefix_exponent`` for any leaf order, from cut sizes memoised per prefix mask.
+
+    A prefix's minimal monochromatic cut depends only on its leaf set, so a
+    scan over every order evaluates the cut DP once per mask it meets, at
+    most 2^n times, instead of one root-path update per prefix per order.
+    """
+    weights = [2] * len(tree._edge_ids)
+    sizes: dict[int, int] = {}
+
+    def exponent(order: Sequence[int]) -> int:
+        k = mask = 0
+        for v in order[:-1]:
+            mask |= 1 << v
+            size = sizes.get(mask)
+            if size is None:
+                size = sizes[mask] = _cheapest_cut(tree, mask, weights).bit_length() - 1
+            if size > k:
+                k = size
+        return k
+
+    return exponent
+
+
 def min_exponent_over_permutations(
     tree: Tree,
     mode: str = "exhaustive",
@@ -87,6 +111,7 @@ def min_exponent_over_permutations(
         if n > 8:
             raise ValueError("exhaustive permutation scan is limited to n <= 8")
         candidates = permutations(range(1, n + 1))
+        exponent = _memo_exponent(tree)
     elif mode == "sampled":
         if trials < 1:
             raise ValueError("need at least one trial")
@@ -99,6 +124,9 @@ def min_exponent_over_permutations(
                 yield tuple(perm)
 
         candidates = sample()
+
+        def exponent(order):
+            return _prefix_exponent(tree, order).k
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -107,7 +135,7 @@ def min_exponent_over_permutations(
     for perm in candidates:
         # tt_exponent(relabel(tree, perm)): the relabelled prefix {1..j} is the set
         # of leaves with new labels <= j, and cut sizes do not depend on labels.
-        k, _ = _prefix_exponent(tree, sorted(range(n), key=perm.__getitem__))
+        k = exponent(sorted(range(n), key=perm.__getitem__))
         if best is None or k < best:
             best, witness = k, perm
             if best == 1:

@@ -11,29 +11,57 @@ each edge's own bipartition it is the optimal bond (optimalize).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .cuts import _cheapest_cut, min_product_cut
 from .trees import EdgeId, Tree, parse_tree
 
 
-@dataclass(frozen=True, eq=False)
-class TnsModel:
-    tree: Tree
-    f: dict[EdgeId, int]
-    dims: dict[int, int]
+class _Frozen:
+    """Slotted record whose fields only ``__init__`` sets: ``TnsModel``, ``oracle.DenseTensor``.
 
-    def __post_init__(self):
-        edges = set(self.tree.edges())
-        if set(self.f) != edges:
+    Assigning or deleting a field raises AttributeError.  The repr lists
+    the fields by name, ``TnsModel(tree=..., f=..., dims=...)``, and copies
+    and pickles pass them to ``__init__`` again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not by assigning fields
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class TnsModel(_Frozen):
+    """A tree, a bond function f >= 1 on its edges and a dimension per leaf.
+
+    Its fields cannot be reassigned, and it is equal only to itself: two
+    models with the same fields are still two objects.
+    """
+
+    __slots__ = ("tree", "f", "dims")
+
+    def __init__(self, tree: Tree, f: dict[EdgeId, int], dims: dict[int, int]):
+        if set(f) != set(tree.edges()):
             raise ValueError("bond function must cover exactly the tree's edges")
-        if any(v < 1 for v in self.f.values()):
+        if any(v < 1 for v in f.values()):
             raise ValueError("bond function must be >= 1 everywhere")
-        if set(self.dims) != set(range(1, self.tree.n + 1)):
+        if set(dims) != set(range(1, tree.n + 1)):
             raise ValueError("dims must cover exactly the leaves 1..n")
-        if any(d < 1 for d in self.dims.values()):
+        if any(d < 1 for d in dims.values()):
             raise ValueError("dims must be >= 1 everywhere")
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "dims", dims)
 
     @classmethod
     def constant(cls, tree: Tree, r: int, dims: Mapping[int, int] | int | None = None) -> "TnsModel":
@@ -145,8 +173,7 @@ def load_model(path) -> TnsModel:
 # -- rank prediction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankPrediction:
+class RankPrediction(NamedTuple):
     """Predicted flattening rank: exact generic value or an upper bound."""
 
     value: int
@@ -196,6 +223,25 @@ def _cut_bound(model: TnsModel, amask: int) -> int:
     return _cheapest_cut(model.tree, amask, _clamped_bonds(model))
 
 
+def generic_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:
+    """Flattening rank of a generic tensor of the model at the leaf subset ``a``.
+
+    Always exact: the value is ``_cut_bound``, the cheapest monochromatic
+    cut over the bonds clamped at the leaves, and the witness is a cut
+    attaining it.  No tensor of the model has a larger rank there, and a
+    generic one attains it: the paper's main result, an algorithm for the
+    generic flattening rank at any flattening.  Generic means outside a
+    proper algebraic subset of the cores over an infinite field; the exact
+    oracle (``estimate_generic_rank``) draws random cores over GF(p)
+    instead, and acceptance criterion 13 checks that it meets this value.
+    Unlike ``predict_rank``, which reads the raw bonds, this holds for any
+    bond function and any leaf dimensions.
+    """
+    tree = model.tree
+    cut = min_product_cut(tree, a, dict(zip(tree.edges(), _clamped_bonds(model))))
+    return RankPrediction(cut.product, True, cut.witness)
+
+
 def optimalize(model: TnsModel) -> TnsModel:
     """Smallest pointwise bond function defining the same set of tensors.
 
@@ -222,16 +268,14 @@ def optimalize(model: TnsModel) -> TnsModel:
 # -- model comparison -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCheck:
+class EdgeCheck(NamedTuple):
     edge: EdgeId
     required: int
     actual: int
     ok: bool
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Per-edge test of whether one model's tensors all lie in another.
 
     Each edge's ``required`` bond is the largest flattening rank of the

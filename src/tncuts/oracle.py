@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from typing import Iterable
@@ -28,25 +27,28 @@ from typing import Iterable
 import numpy as np
 
 from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, matmul_mod, rank_mod, validate_prime
-from .models import TnsModel, _clamped_bonds, _cut_bound
+from .models import TnsModel, _clamped_bonds, _cut_bound, _Frozen
 from .rng import CounterRng, derive_seed
 from .trees import Tree
 
 _MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
 
 
-@dataclass(frozen=True, eq=False)
-class DenseTensor:
-    """Dense multi-index array over GF(p), axes ordered by leaf label."""
+class DenseTensor(_Frozen):
+    """Dense multi-index array over GF(p), axes ordered by leaf label.
 
-    data: np.ndarray
-    p: int
+    Its fields cannot be reassigned, and it is equal only to itself.
+    """
 
-    def __post_init__(self):
-        if self.data.dtype != np.int64:
+    __slots__ = ("data", "p")
+
+    def __init__(self, data: np.ndarray, p: int):
+        if data.dtype != np.int64:
             raise ValueError("tensor entries must be int64 residues")
-        if self.data.size and (self.data.min() < 0 or self.data.max() >= self.p):
+        if data.size and (data.min() < 0 or data.max() >= p):
             raise ValueError("tensor entries must lie in [0, p)")
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "p", p)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -63,6 +63,57 @@ def test_only_verify_loads_numpy():
     assert json.loads(out.stdout) == [[0] * len(argvs), False]
 
 
+# The package modules each subcommand runs, besides tncuts and tncuts.cli
+# (tncuts/__main__.py runs as __main__); rng comes with trees.
+COMMAND_MODULES = {
+    "minmono": {"trees", "rng", "cuts"},
+    "predict": {"trees", "rng", "cuts", "models"},
+    "verify": {"trees", "rng", "cuts", "models", "fieldmath", "oracle"},
+    "hackbusch": {"trees", "rng", "cuts", "hackbusch"},
+    "compare": {"trees", "rng", "cuts", "models"},
+    "hardset": {"trees", "rng", "cuts", "models"},
+    "optimalize": {"trees", "rng", "cuts", "models"},
+    "permscan": {"trees", "rng", "cuts", "hackbusch"},
+}
+
+
+# ``python -m tncuts`` with the argv after "-c", then the loaded modules on stderr
+_RUN_AND_LIST_MODULES = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('tncuts', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+)
+
+
+def test_each_command_loads_only_its_modules():
+    # A CLI process spends most of its time starting up, so it compiles only
+    # the package modules its subcommand runs, and no command pays for
+    # dataclasses (which imports inspect, ast, dis and tokenize).  Modules a
+    # bare interpreter already holds (site hooks) do not count.
+    bare = subprocess.run([sys.executable, "-c", "import sys; print(' '.join(sys.modules))"], capture_output=True)
+    assert bare.returncode == 0, bare.stderr.decode()
+    loaded = {}
+    for name, argv in sorted(MANIFEST.items()):
+        out = subprocess.run([sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], capture_output=True, cwd=ROOT)
+        assert out.returncode == 0, out.stderr.decode()
+        assert out.stdout == (GOLDEN / f"{name}.json").read_bytes(), name
+        loaded[name] = set(out.stderr.decode().split()) - set(bare.stdout.decode().split())
+    commands = {name: argv[0] for name, argv in MANIFEST.items()}
+    assert [name for name, modules in loaded.items() if "dataclasses" in modules] == []
+    assert [
+        name for name, modules in loaded.items()
+        if commands[name] in ("minmono", "hackbusch", "permscan") and "tncuts.models" in modules
+    ] == []
+    assert [
+        name for name, modules in loaded.items() if commands[name] == "minmono" and "tncuts.fieldmath" in modules
+    ] == []
+    for name, modules in loaded.items():
+        ours = {module for module in modules if module.startswith("tncuts.")}
+        assert ours == {f"tncuts.{module}" for module in COMMAND_MODULES[commands[name]] | {"cli"}}, name
+
+
 def test_minmono_empty_subset():
     payload = json.loads(run_cli("minmono", "--tree", "inputs/cat4.txt", "--subset", "").stdout)
     assert payload == {"size": 0, "witness": [], "colour_cut_size": None}

@@ -106,6 +106,28 @@ def test_permscan_reads_preimage_prefixes():
         assert min_exponent_over_permutations(tree, "exhaustive") == best, tree.serialize()
 
 
+def _scan_every_order(tree):
+    """Reference exhaustive scan: one root-path update per prefix of every leaf order, no memo."""
+    n = tree.n
+    best = witness = None
+    for perm in permutations(range(1, n + 1)):
+        k = _prefix_exponent(tree, sorted(range(n), key=perm.__getitem__)).k
+        if best is None or k < best:
+            best, witness = k, perm
+            if best == 1:
+                break
+    return best, witness
+
+
+def test_exhaustive_permscan_matches_the_scan_of_every_order():
+    # Every labelled tree of 2-6 leaves; at 7 leaves both shapes and every
+    # 40th labelled tree (all 945 take the reference about 50 s); and abt8.
+    trees = [t for n in range(2, 7) for t in all_binary_trees(n)]
+    trees += tree_shapes(7) + list(all_binary_trees(7))[::40] + [build_almost_perfect_binary(8)]
+    for tree in trees:
+        assert min_exponent_over_permutations(tree, "exhaustive") == _scan_every_order(tree), tree.serialize()
+
+
 def _full_dp_exponent(tree, order):
     """Reference: one full min_mono_cut DP per prefix, first j attaining the maximum."""
     sizes = [min_mono_cut(tree, [v + 1 for v in order[:j]]).size for j in range(1, tree.n)]

@@ -1,6 +1,8 @@
 """Model contracts: prediction, optimal bond functions, comparison, hard sets."""
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from tncuts import (
     build_train_track,
     compare_models,
     construct_hard_subset,
+    generic_rank,
     load_model,
     min_mono_cut,
     min_product_cut,
@@ -27,7 +30,9 @@ from tncuts import (
     predict_rank,
     random_binary_tree,
     tree_shapes,
+    verify_mono_cut,
 )
+from tncuts.models import _clamped_bonds, _cut_bound
 
 CAT4 = parse_tree("((1,2),(3,4))")
 EX12 = parse_tree("((((1,2),3),((4,5),6)),(((7,8),9),((10,11),12)))")
@@ -82,6 +87,46 @@ def test_predict_matches_min_product(seed, bits):
     a = {i + 1 for i in range(m.tree.n) if (bits >> i) & 1}
     if a and len(a) < m.tree.n:
         assert predict_rank(m, a).value == min_product_cut(m.tree, a, m.f).product
+
+
+def test_generic_rank_is_the_clamped_bond_cut():
+    # exact for every bond function, also where predict_rank only bounds
+    f = {EdgeId([1]): 2, EdgeId([2]): 3, EdgeId([3]): 2, EdgeId([4]): 3, EdgeId([1, 2]): 5}
+    nc = TnsModel(CAT4, f, {i: 2 for i in range(1, 5)})
+    assert generic_rank(nc, {1, 3})[:2] == (4, True) and not predict_rank(nc, {1, 3}).exact
+    assert generic_rank(TnsModel.constant(CAT4, 3, dims=2), {1, 3}).value == 4
+    assert generic_rank(nc, set()) == generic_rank(nc, {1, 2, 3, 4}) == (1, True, frozenset())
+    rng = CounterRng(5)
+    for _ in range(200):
+        m = random_model(rng)
+        bonds = dict(zip(m.tree.edges(), _clamped_bonds(m)))
+        bits = rng.randbelow(1 << m.tree.n)
+        a = m.tree.labels_of_mask(bits)
+        got = generic_rank(m, a)
+        assert got.exact and got.value == _cut_bound(m, bits)
+        assert verify_mono_cut(m.tree, a, got.witness)
+        product = 1
+        for e in got.witness:
+            product *= bonds[e]
+        assert product == got.value
+
+
+def test_records_keep_their_contracts():
+    m = TnsModel.constant(CAT4, 2)
+    twin = TnsModel(m.tree, m.f, m.dims)
+    assert m != twin and len({m, twin}) == 2  # models compare by identity
+    pred = predict_rank(m, {1, 3})
+    assert pred == predict_rank(m, {1, 3}) and hash(pred) == hash(predict_rank(m, {1, 3}))
+    assert repr(pred) == f"RankPrediction(value=4, exact=True, witness={pred.witness!r})"
+    assert repr(m) == f"TnsModel(tree={m.tree!r}, f={m.f!r}, dims={m.dims!r})"
+    check = compare_models(m, m).edges[0]
+    for record, field in ((m, "f"), (pred, "value"), (check, "ok"), (min_mono_cut(CAT4, {1}), "size")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        del m.dims
+    for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(copied) is TnsModel and repr(copied) == repr(m) and copied != m
 
 
 def test_optimalize_examples():

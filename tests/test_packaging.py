@@ -1,7 +1,11 @@
 """The package is pure Python with one rank kernel, no environment switches and no recursion."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -38,6 +42,29 @@ def test_numpy_is_the_only_dependency():
     assert config["project"]["dependencies"] == ["numpy>=1.24"]
     requires = config["build-system"]["requires"]
     assert requires and all(re.split(r"[\s<>=!~;\[]", req)[0] == "setuptools" for req in requires)
+
+
+def test_names_load_their_module_on_first_access():
+    code = (
+        "import json, sys, tncuts\n"
+        "ours = lambda: sorted(m for m in sys.modules if m.startswith('tncuts.'))\n"
+        "before = ours()\n"
+        "tncuts.parse_tree\n"
+        "print(json.dumps([before, ours()]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, cwd=ROOT)
+    assert out.returncode == 0, out.stderr.decode()
+    assert json.loads(out.stdout) == [[], ["tncuts.rng", "tncuts.trees"]]
+
+
+def test_every_public_name_resolves_to_its_definition():
+    for name in tncuts.__all__:
+        module = import_module(f"tncuts.{tncuts._SOURCE[name]}")
+        assert getattr(tncuts, name) is getattr(module, name), name
+    assert set(tncuts.__all__) <= set(dir(tncuts))
+    assert tncuts.oracle is import_module("tncuts.oracle")
+    with pytest.raises(AttributeError):
+        tncuts.no_such_name
 
 
 def test_one_rank_kernel():
