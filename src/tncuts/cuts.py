@@ -92,7 +92,7 @@ def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
     each prefix costs one root-path update after one full pass for the
     empty prefix: O(n * depth) in all.
     """
-    weights = [2] * len(tree._edge_ids)
+    weights = [2] * len(tree._edge_ends)
     forbidden = max(weights) + 1
     c0, c1 = _full_costs(tree, 0, weights)
     parent_edge = tree._parent_edge
@@ -131,12 +131,13 @@ def _product_cut(tree: Tree, amask: int, weights: list[int]) -> tuple[int, froze
                 cut_edges.append(ei)
                 stack.append((u, low_s))
     cost = c1[0] if amask & 1 else c0[0]
-    return cost, frozenset(tree._edge_ids[i] for i in cut_edges)
+    edges = tree.edges()
+    return cost, frozenset(edges[i] for i in cut_edges)
 
 
 def min_mono_cut(tree: Tree, a: Iterable[int]) -> CutResult:
     """Minimum edge set whose removal leaves every component monochromatic."""
-    cost, witness = _product_cut(tree, tree.mask_of(a), [2] * len(tree._edge_ids))
+    cost, witness = _product_cut(tree, tree.mask_of(a), [2] * len(tree._edge_ends))
     return CutResult(cost.bit_length() - 1, witness)
 
 
@@ -212,7 +213,8 @@ def max_colour_cut(tree: Tree, a: Iterable[int]) -> CutResult:
                 cut_edges.remove(border[0])
                 break
             part.extend(u for u, _ in children[v])
-    return CutResult(len(cut_edges), frozenset(tree._edge_ids[i] for i in cut_edges))
+    edges = tree.edges()
+    return CutResult(len(cut_edges), frozenset(edges[i] for i in cut_edges))
 
 
 # -- verification -------------------------------------------------------------
@@ -221,7 +223,7 @@ def max_colour_cut(tree: Tree, a: Iterable[int]) -> CutResult:
 def _part_colours(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> list[int]:
     """Colour bits of each part left by removing ``cut`` (0 = no leaf), leaf 1's part last."""
     amask = tree.mask_of(a)
-    cut_idx = {tree._edge_pos[tree.resolve_edge(eid)] for eid in cut}
+    cut_idx = {tree._position(eid) for eid in cut}
     children = tree._children
     # seen[v]: colours of v's part below v, 1 = a leaf in A, 2 = a leaf not in A
     seen = [2 - ((amask >> v) & 1) for v in range(tree.n)]

@@ -77,7 +77,7 @@ def _memo_exponent(tree: Tree):
     scan over every order evaluates the cut DP once per mask it meets, at
     most 2^n times, instead of one root-path update per prefix per order.
     """
-    weights = [2] * len(tree._edge_ids)
+    weights = [2] * len(tree._edge_ends)
     sizes: dict[int, int] = {}
 
     def exponent(order: Sequence[int]) -> int:

@@ -5,11 +5,19 @@ vertex has degree 3 (the 2-leaf tree is a single edge).  Each edge is named
 by the leaf bipartition it induces: the canonical key is the side whose
 (size, sorted labels) pair is smaller.  Trees are immutable values, equal
 exactly when they induce the same set of bipartitions.
+
+Sides are leaf masks (bit i is label i + 1), never label tuples.  Of two
+sides of one size, the one holding the lowest bit of their XOR has the
+smaller sorted labels, so one XOR orders them; an edge's ``labels`` and
+``key`` are rendered from its mask only when asked for.  A tree builds its
+``EdgeId`` objects once, on the first ``edges()`` call.  The generators
+grow plain edge lists and build one ``Tree`` per tree they return.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from bisect import bisect_left, insort
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .rng import CounterRng
 
@@ -20,23 +28,49 @@ class TreeParseError(ValueError):
 
 def _mask_labels(mask: int) -> tuple[int, ...]:
     """Ascending labels of the set bits of a leaf mask (bit i is label i + 1)."""
+    bits = bin(mask)[:1:-1]   # bits[i] is bit i
     labels = []
-    while mask:
-        low = mask & -mask
-        labels.append(low.bit_length())
-        mask ^= low
+    i = bits.find("1")
+    while i >= 0:
+        labels.append(i + 1)
+        i = bits.find("1", i + 1)
     return tuple(labels)
 
 
 class EdgeId:
-    """Canonical edge name: the smaller side of the edge's leaf bipartition."""
+    """Canonical edge name: the smaller side of the edge's leaf bipartition.
 
-    __slots__ = ("labels",)
+    It holds that side as a leaf mask: hashing, equality and order read
+    the mask alone, and ``labels`` is rendered from it on first use.  The
+    hash is that of (size, least label), which no two sides of one tree
+    share; an int's own hash depends on its bit positions modulo 61 only,
+    so the leaf sides of a tree on more than 61 leaves would collide.
+    """
+
+    __slots__ = ("mask", "_labels", "_hash")
 
     def __init__(self, labels: Iterable[int]):
-        self.labels: tuple[int, ...] = tuple(sorted(labels))
-        if not self.labels:
+        labels = tuple(sorted(labels))
+        if not labels:
             raise ValueError("an edge key needs at least one leaf label")
+        if labels[0] < 1:
+            raise ValueError(f"leaf labels start at 1, got {labels[0]}")
+        mask = 0
+        for lab in labels:
+            mask |= 1 << (lab - 1)
+        if mask.bit_count() != len(labels):
+            raise ValueError("an edge key names each leaf label once")
+        self.mask = mask
+        self._labels: tuple[int, ...] | None = labels
+        self._hash = hash((len(labels), labels[0]))
+
+    @classmethod
+    def _of_side(cls, mask: int) -> "EdgeId":
+        eid = cls.__new__(cls)
+        eid.mask = mask
+        eid._labels = None
+        eid._hash = hash((mask.bit_count(), (mask & -mask).bit_length()))
+        return eid
 
     @classmethod
     def from_key(cls, key: str) -> "EdgeId":
@@ -47,6 +81,12 @@ class EdgeId:
             raise ValueError(f"bad edge key {key!r}") from exc
 
     @property
+    def labels(self) -> tuple[int, ...]:
+        if self._labels is None:
+            self._labels = _mask_labels(self.mask)
+        return self._labels
+
+    @property
     def key(self) -> str:
         return "-".join(map(str, self.labels))
 
@@ -54,19 +94,64 @@ class EdgeId:
         return (len(self.labels), self.labels)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, EdgeId) and self.labels == other.labels
+        return isinstance(other, EdgeId) and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash(self.labels)
+        return self._hash
 
     def __lt__(self, other: "EdgeId") -> bool:
-        return self.sort_key() < other.sort_key()
+        a, b = self.mask, other.mask
+        if a.bit_count() != b.bit_count():
+            return a.bit_count() < b.bit_count()
+        diff = a ^ b
+        return a & diff & -diff != 0
 
     def __str__(self) -> str:
         return self.key
 
     def __repr__(self) -> str:
         return f"EdgeId({self.key!r})"
+
+
+def _canonical_edges(
+    adj: Mapping[Hashable, Iterable[Hashable]], leaf_labels: Mapping[Hashable, int]
+) -> list[tuple[int, Hashable, Hashable]]:
+    """(canonical side, parent, child) of every edge of a tree, in canonical order.
+
+    Rooted at the leaf labelled 1, a child's subtree mask is one side of
+    the edge to its parent and never holds leaf 1.  So the canonical side
+    -- fewer leaves, then the side holding leaf 1 on a tie -- is that mask
+    exactly when it is the strictly smaller half.  Two canonical sides of
+    one size are disjoint: the splits of two edges are compatible, and
+    any other overlap would make the two splits equal.  So the lowest bit
+    of their XOR is the lower of their lowest bits, and (size, least
+    label) sorts them.
+    """
+    n = len(leaf_labels)
+    root = next(v for v, lab in leaf_labels.items() if lab == 1)
+    order = [root]
+    parent = {root: None}
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    if len(order) != len(adj):
+        raise ValueError("tree must be connected")
+    below = {v: 1 << (leaf_labels[v] - 1) if v in leaf_labels else 0 for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    full = (1 << n) - 1
+    keyed = []
+    for v in order[1:]:
+        side = below[v]
+        size = side.bit_count()
+        if 2 * size < n:
+            keyed.append((size, (side & -side).bit_length(), side, parent[v], v))
+        else:
+            keyed.append((n - size, 1, full ^ side, parent[v], v))
+    keyed.sort()   # (size, least label) is unique per edge, so the vertices are never compared
+    return [(side, u, v) for _, _, side, u, v in keyed]
 
 
 class Tree:
@@ -79,6 +164,9 @@ class Tree:
     makes every traversal deterministic.  The one adjacency kept is the
     orientation rooted at vertex 0: ``_children``, ``_parent_edge`` and
     ``_postorder``; every walk over it is a loop, never a recursion.
+    ``_edge_sides`` holds each edge's canonical side in edge order; the
+    first ``edges()`` call builds ``_edge_ids`` from them, and ``_edge_pos``,
+    which maps each ``EdgeId`` back to its position.
     """
 
     __slots__ = (
@@ -92,7 +180,6 @@ class Tree:
         "_parent_edge",
         "_postorder",
         "_full_mask",
-        "_split_key",
     )
 
     def __init__(self, adjacency: Mapping[int, Iterable[int]], leaf_labels: Mapping[int, int]):
@@ -109,42 +196,12 @@ class Tree:
             want = 1 if v in leaf_labels else 3
             if len(nbrs) != want:
                 raise ValueError("leaves must have degree 1, inner vertices degree 3")
-
-        # Root the raw graph at the leaf labelled 1 and collect, for every
-        # non-root vertex, the leaf mask of its subtree; that mask is one
-        # side of the bipartition of the edge towards the parent.
-        root0 = next(v for v, lab in leaf_labels.items() if lab == 1)
-        order = [root0]
-        parent0: dict[int, int | None] = {root0: None}
-        for v in order:
-            for u in adj[v]:
-                if u not in parent0:
-                    parent0[u] = v
-                    order.append(u)
-        if len(order) != num_vertices:
-            raise ValueError("tree must be connected")
-
-        self.n = n
-        self.num_vertices = num_vertices
-        full = (1 << n) - 1
-        self._full_mask = full
-        below = {v: (1 << (leaf_labels[v] - 1)) if v in leaf_labels else 0 for v in order}
-        for v in reversed(order[1:]):
-            below[parent0[v]] |= below[v]
-
-        raw_edges = []          # (edge key, orig parent, orig child, canonical side mask)
-        for v in order[1:]:
-            # below[v] never holds leaf 1 (the root), so the canonical side
-            # -- fewer leaves, then the side holding leaf 1 on a tie -- is
-            # below[v] exactly when it is the strictly smaller half.
-            side = below[v] if 2 * below[v].bit_count() < n else full ^ below[v]
-            raw_edges.append(((side.bit_count(), _mask_labels(side)), parent0[v], v, side))
-        raw_edges.sort()
+        edges = _canonical_edges(adj, leaf_labels)
 
         # Canonical vertex numbering: leaves by label, then inner vertices
         # by the ascending positions of their incident edges.
         incident: dict[int, list[int]] = {v: [] for v in adj}
-        for i, (_, u, v, _) in enumerate(raw_edges):
+        for i, (_, u, v) in enumerate(edges):
             incident[u].append(i)
             incident[v].append(i)
         new_index = {v: leaf_labels[v] - 1 for v in leaf_labels}
@@ -152,11 +209,13 @@ class Tree:
         for i, v in enumerate(inner):
             new_index[v] = n + i
 
-        self._edge_ids = tuple(EdgeId(key[1]) for key, _, _, _ in raw_edges)
-        self._edge_sides = tuple(side for _, _, _, side in raw_edges)
-        self._edge_ends = tuple((new_index[u], new_index[v]) for _, u, v, _ in raw_edges)
-        self._edge_pos = {eid: i for i, eid in enumerate(self._edge_ids)}
-        self._split_key = frozenset(self._edge_sides)
+        self.n = n
+        self.num_vertices = num_vertices
+        self._full_mask = (1 << n) - 1
+        self._edge_ids: tuple[EdgeId, ...] | None = None
+        self._edge_pos: dict[EdgeId, int] = {}
+        self._edge_sides = tuple(side for side, _, _ in edges)
+        self._edge_ends = tuple((new_index[u], new_index[v]) for _, u, v in edges)
 
         # Rooted orientation at vertex 0 (the leaf labelled 1): every edge's
         # ends are (parent, child) from the walk above.  Reused by the cut
@@ -166,12 +225,15 @@ class Tree:
         for i, (u, v) in enumerate(self._edge_ends):
             children[u].append((v, i))
             parent_edge[v] = i
-        self._children = tuple(tuple(sorted(c)) for c in children)
+        # a vertex has at most two children, kept in vertex order
+        self._children = tuple([tuple(c) if len(c) < 2 or c[0] < c[1] else (c[1], c[0]) for c in children])
         self._parent_edge = tuple(parent_edge)
         bfs = [0]
         for v in bfs:
-            bfs.extend(u for u, _ in self._children[v])
-        self._postorder = tuple(reversed(bfs))
+            for u, _ in self._children[v]:
+                bfs.append(u)
+        bfs.reverse()
+        self._postorder = tuple(bfs)
 
     # -- basic queries -------------------------------------------------
 
@@ -180,24 +242,32 @@ class Tree:
         return frozenset(range(1, self.n + 1))
 
     def edges(self) -> tuple[EdgeId, ...]:
-        """All edges, sorted by canonical key."""
-        return self._edge_ids
+        """All edges, sorted by canonical key; built on the first call and kept."""
+        ids = self._edge_ids
+        if ids is None:
+            ids = tuple(map(EdgeId._of_side, self._edge_sides))
+            self._edge_pos = {eid: i for i, eid in enumerate(ids)}
+            self._edge_ids = ids
+        return ids
+
+    def _position(self, edge: EdgeId) -> int:
+        """Position in ``edges()`` of the edge named by either side of its bipartition."""
+        if self._edge_ids is None:
+            self.edges()
+        pos = self._edge_pos.get(edge)
+        if pos is None:
+            pos = self._edge_pos.get(EdgeId._of_side(self._full_mask ^ edge.mask))
+            if pos is None:
+                raise ValueError(f"edge {edge} does not belong to this tree")
+        return pos
 
     def resolve_edge(self, edge: EdgeId) -> EdgeId:
-        """Canonical id of the edge, accepting either side of its bipartition (labels distinct)."""
-        if edge in self._edge_pos:
-            return edge
-        side = set(edge.labels)
-        if len(side) == len(edge.labels) and side <= self.leaves and len(side) < self.n:
-            other = EdgeId(self.leaves - side)
-            if other in self._edge_pos:
-                return other
-        raise ValueError(f"edge {edge} does not belong to this tree")
+        """Canonical id of the edge, accepting either side of its bipartition."""
+        return self.edges()[self._position(edge)]
 
     def leaves_left_of(self, edge: EdgeId) -> frozenset[int]:
         """The canonical-key side of the edge's leaf bipartition."""
-        pos = self._edge_pos[self.resolve_edge(edge)]
-        return self.labels_of_mask(self._edge_sides[pos])
+        return self.labels_of_mask(self._edge_sides[self._position(edge)])
 
     def mask_of(self, labels: Iterable[int]) -> int:
         mask = 0
@@ -212,11 +282,16 @@ class Tree:
 
     # -- value semantics -----------------------------------------------
 
+    @property
+    def _split_key(self) -> tuple[int, ...]:
+        """The canonical sides in edge order: equal exactly for equal trees of one size."""
+        return self._edge_sides
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and self.n == other.n and self._split_key == other._split_key
+        return isinstance(other, Tree) and self.n == other.n and self._edge_sides == other._edge_sides
 
     def __hash__(self) -> int:
-        return hash((self.n, self._split_key))
+        return hash((self.n, self._edge_sides))
 
     def __repr__(self) -> str:
         return f"Tree({self.serialize()!r})"
@@ -351,36 +426,40 @@ def complement(tree: Tree, a: Iterable[int]) -> frozenset[int]:
 # -- tree generation ------------------------------------------------------
 
 
-def _insert_leaf(tree: Tree, edge_index: int, label: int) -> Tree:
-    """New tree with an extra leaf attached in the middle of an edge."""
-    mid, leaf = tree.num_vertices, tree.num_vertices + 1
-    ends = list(tree._edge_ends)
-    u, v = ends[edge_index]
-    ends[edge_index : edge_index + 1] = [(u, mid), (mid, v), (mid, leaf)]
-    return Tree(_adjacency(ends), {i: i + 1 for i in range(tree.n)} | {leaf: label})
+def _grown(ends: Sequence[tuple[int, int]], labels: dict[int, int]) -> Iterator[tuple[list, dict]]:
+    """The tree with one more leaf, labelled n + 1, on each edge in turn.
 
-
-def _grown(tree: Tree) -> Iterator[Tree]:
-    """The tree with one more leaf, labelled n + 1, on each edge in turn."""
-    return (_insert_leaf(tree, i, tree.n + 1) for i in range(len(tree.edges())))
+    A tree here is a plain edge list on vertices 0..len(ends) plus its leaf
+    -> label map, such as ``Tree._edge_ends``; each yielded tree puts the new
+    leaf in the middle of ``ends[i]``, for i in order.
+    """
+    mid, leaf = len(ends) + 1, len(ends) + 2
+    labels = labels | {leaf: len(labels) + 1}
+    for i, (u, v) in enumerate(ends):
+        yield [*ends[:i], (u, mid), (mid, v), (mid, leaf), *ends[i + 1 :]], labels
 
 
 def all_binary_trees(n: int) -> Iterator[Tree]:
     """All (2n-5)!! leaf-labelled unrooted binary trees, deterministically.
 
-    Depth first over leaf insertions, one generator per tree on the stack.
+    Depth first over leaf insertions in canonical edge order, one generator
+    per tree on the stack.  A tree with fewer than n leaves is only put in
+    canonical edge order; a ``Tree`` is built once per tree yielded.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    stack = [iter([build_train_track(2)])]
+    stack = [iter([([(0, 1)], {0: 1, 1: 2})])]
     while stack:
-        tree = next(stack[-1], None)
-        if tree is None:
+        item = next(stack[-1], None)
+        if item is None:
             stack.pop()
-        elif tree.n == n:
-            yield tree
+            continue
+        ends, labels = item
+        if len(labels) == n:
+            yield Tree(_adjacency(ends), labels)
         else:
-            stack.append(_grown(tree))
+            ordered = [(u, v) for _, u, v in _canonical_edges(_adjacency(ends), labels)]
+            stack.append(_grown(ordered, labels))
 
 
 def _shape_signature(tree: Tree) -> str:
@@ -416,19 +495,64 @@ def tree_shapes(n: int) -> list[Tree]:
     for _ in range(3, n + 1):
         seen: dict[str, Tree] = {}
         for rep in reps:
-            for candidate in _grown(rep):
+            for ends, labels in _grown(rep._edge_ends, {v: v + 1 for v in range(rep.n)}):
+                candidate = Tree(_adjacency(ends), labels)
                 seen.setdefault(_shape_signature(candidate), candidate)
         reps = [seen[sig] for sig in sorted(seen)]
     return reps
 
 
 def random_binary_tree(n: int, seed: int = 0, rng: CounterRng | None = None) -> Tree:
-    """Uniform-ish random labelled tree by random leaf insertion."""
+    """Uniform-ish random labelled tree by random leaf insertion.
+
+    Leaf k + 1 goes in the middle of the edge that ``rng.randbelow`` picks
+    from the canonical edge order of the tree on leaves 1..k.  That order is
+    kept as a sorted list of (side size, least label of the side, child)
+    per edge, rooted at leaf 1 as in ``_canonical_edges``: the side is the
+    child's subtree of ``size[child]`` leaves while that is the strictly
+    smaller half, and otherwise the other side, whose least label is 1.
+    Inserting a leaf grows the subtrees on its root path, and the other
+    side of every edge whose canonical side holds leaf 1; those edges form
+    one path from the root, so only the keys on two paths move.  One
+    ``Tree`` is built, at the end.
+    """
     if n < 2:
         raise ValueError("need at least 2 leaves")
     if rng is None:
         rng = CounterRng(seed)
-    tree = build_train_track(2)
-    for label in range(3, n + 1):
-        tree = _insert_leaf(tree, rng.randbelow(len(tree.edges())), label)
-    return tree
+    # vertex 0 is leaf 1, the root, whose entries are never read; vertex 1 is leaf 2
+    parent = [-1, 0]
+    size = [0, 1]       # leaves in each vertex's subtree
+    least = [1, 2]      # least leaf label in each vertex's subtree
+    labels = {0: 1, 1: 2}
+
+    def key(v: int, k: int) -> tuple[int, int, int]:
+        s = size[v]
+        return (s, least[v], v) if 2 * s < k else (k - s, 1, v)
+
+    order = [key(1, 2)]
+    heavy = [1]         # children whose canonical side holds leaf 1
+    for k in range(2, n):
+        v = order[rng.randbelow(2 * k - 3)][2]
+        mid, leaf = len(parent), len(parent) + 1
+        path = [mid]
+        u = parent[v]
+        while u:
+            path.append(u)
+            u = parent[u]
+        moved = set(path[1:]).union(heavy)
+        for u in moved:
+            del order[bisect_left(order, key(u, k))]
+        parent += [parent[v], mid]
+        size += [size[v], 1]
+        least += [least[v], k + 1]
+        parent[v] = mid
+        labels[leaf] = k + 1
+        for u in path:
+            size[u] += 1
+        moved.add(mid)
+        for u in moved:
+            insort(order, key(u, k + 1))
+        insort(order, key(leaf, k + 1))
+        heavy = [u for u in moved if 2 * size[u] >= k + 1]
+    return Tree(_adjacency((parent[v], v) for v in range(1, len(parent))), labels)

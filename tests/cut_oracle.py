@@ -2,9 +2,9 @@
 
 They share no code with ``tncuts.cuts``: leaf-to-leaf paths are read off
 the public edge bipartitions.  The minimum monochromatic cut comes from an
-exhaustive subset search or, on larger trees, from max-flow with networkx;
-the maximum colour cut from an exhaustive search over growing sizes; the
-cut checks from the leaf classes a cut leaves.  The hard subset comes from
+exhaustive subset search or, on larger trees, from a BFS augmenting-path
+max-flow; the maximum colour cut from an exhaustive search over growing
+sizes; the cut checks from the leaf classes a cut leaves.  The hard subset comes from
 pruning a mutable copy of the tree vertex by vertex, sharing no code with
 ``tncuts.models``.
 """
@@ -83,19 +83,40 @@ def brute_subset_scan(tree: Tree, amask: int) -> int:
 
 
 def min_cut_by_flow(tree: Tree, amask: int) -> int:
-    import networkx as nx
+    """Maximum flow from the A leaves to the other leaves, by BFS augmenting paths.
 
-    g = nx.DiGraph()
-    big = len(tree.edges()) + 1
-    for u, v in tree._edge_ends:
-        g.add_edge(u, v, capacity=1)
-        g.add_edge(v, u, capacity=1)
-    for leaf in range(tree.n):
-        if (amask >> leaf) & 1:
-            g.add_edge("s", leaf, capacity=big)
-        else:
-            g.add_edge(leaf, "t", capacity=big)
-    return nx.maximum_flow_value(g, "s", "t")
+    Every tree edge carries capacity 1 each way; a super source feeds each
+    A leaf and each other leaf drains into a super sink, both without
+    bound.  Each shortest augmenting path adds 1 (its tree edges have
+    capacity 1), and by Menger the maximum flow is the least number of
+    tree edges separating the two colours.
+    """
+    source, sink = tree.num_vertices, tree.num_vertices + 1
+    big = len(tree._edge_ends) + 1
+    arcs = [(u, v, 1) for u, v in tree._edge_ends] + [(v, u, 1) for u, v in tree._edge_ends]
+    arcs += [(source, x, big) if (amask >> x) & 1 else (x, sink, big) for x in range(tree.n)]
+    residual: list[dict[int, int]] = [{} for _ in range(tree.num_vertices + 2)]
+    for u, v, cap in arcs:
+        residual[u][v] = residual[u].get(v, 0) + cap
+        residual[v].setdefault(u, 0)
+    flow = 0
+    while True:
+        prev = {source: source}
+        queue = [source]
+        for u in queue:
+            for v, cap in residual[u].items():
+                if cap and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            return flow
+        v = sink
+        while v != source:
+            u = prev[v]
+            residual[u][v] -= 1
+            residual[v][u] += 1
+            v = u
+        flow += 1
 
 
 def leaf_classes(tree: Tree, amask: int, cut: int) -> list[int]:

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tncuts import build_train_track, random_binary_tree
+from tncuts import (
+    build_train_track,
+    construct_hard_subset,
+    max_colour_cut,
+    min_mono_cut,
+    parse_tree,
+    random_binary_tree,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -348,6 +355,23 @@ def test_deep_caterpillar_commands(tmp_path):
         assert out.stderr == b""
         assert out.stdout.count(b"\n") == 1
         assert isinstance(json.loads(out.stdout), dict)
+
+
+def test_commands_on_a_5000_leaf_caterpillar(tmp_path):
+    text = build_train_track(5000).serialize()
+    tree_path = tmp_path / "cat5000.txt"
+    tree_path.write_text(text, encoding="utf-8")
+    tree = parse_tree(text)
+    subset = range(1, 5001, 3)
+    out = run_cli("minmono", "--tree", str(tree_path), "--subset", ",".join(map(str, subset)))
+    mono, colour = min_mono_cut(tree, subset), max_colour_cut(tree, subset)
+    want = {"size": mono.size, "witness": [e.key for e in sorted(mono.witness)], "colour_cut_size": colour.size}
+    assert out.stderr == b"" and json.loads(out.stdout) == want
+    out = run_cli("hardset", "--tree", str(tree_path))
+    hard = construct_hard_subset(tree)
+    size = min_mono_cut(tree, hard).size
+    assert size >= 2500
+    assert out.stderr == b"" and json.loads(out.stdout) == {"subset": sorted(hard), "minmono": size, "rank_bound": 2**size}
 
 
 def test_exit_code_zero_on_success():

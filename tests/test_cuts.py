@@ -231,6 +231,15 @@ def test_brute_force_routes_agree():
         assert brute_subset_scan(tree, amask) == min_cut_by_flow(tree, amask)
 
 
+def test_flow_matches_subset_scan_on_every_small_tree():
+    # every tree up to 7 leaves, every A holding leaf 1 (A and its complement
+    # have the same cuts)
+    for n in range(2, 8):
+        for tree in all_binary_trees(n):
+            for amask in range(1, (1 << n) - 1, 2):
+                assert min_cut_by_flow(tree, amask) == brute_subset_scan(tree, amask), (tree.serialize(), amask)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**32), st.integers(0, 255))
 def test_colour_symmetry(n, seed, bits):

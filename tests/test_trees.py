@@ -1,11 +1,14 @@
 """Tree parsing, builders, and canonical edge identifiers."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_reference as ref
 from tncuts import (
+    CounterRng,
     EdgeId,
     Tree,
     TreeParseError,
@@ -13,6 +16,7 @@ from tncuts import (
     build_almost_perfect_binary,
     build_train_track,
     complement,
+    construct_hard_subset,
     parse_tree,
     random_binary_tree,
     relabel,
@@ -105,10 +109,11 @@ def _hand_built_train_track(n: int) -> Tree:
 
 def test_train_track_matches_hand_built():
     # the builder goes through the parser; same tree, same internal layout
-    fields = ("_edge_ids", "_edge_sides", "_edge_ends", "_children", "_postorder", "_parent_edge")
+    fields = ("_edge_sides", "_edge_ends", "_children", "_postorder", "_parent_edge")
     for n in list(range(2, 80)) + [1500]:
         got, want = build_train_track(n), _hand_built_train_track(n)
         assert got.serialize() == want.serialize(), n
+        assert got.edges() == want.edges(), n
         for field in fields:
             assert getattr(got, field) == getattr(want, field), (n, field)
 
@@ -136,13 +141,14 @@ def test_leaves_left_of():
         tree.leaves_left_of(EdgeId([1, 3]))
     with pytest.raises(ValueError):
         tt5.resolve_edge(EdgeId([1, 2, 9]))
-    # a side that repeats a label names no edge, not even by its complement
-    for labels in ([3, 3, 4], [2, 3, 4, 4]):
+    # a side that repeats a label, or holds no label >= 1, names no edge, not
+    # even by its complement
+    for labels in ([3, 3, 4], [2, 3, 4, 4], [0, 1], [-2, 1]):
         with pytest.raises(ValueError):
             tree.resolve_edge(EdgeId(labels))
 
 
-TREE_FIELDS = ("_edge_ids", "_edge_sides", "_edge_ends", "_children", "_parent_edge", "_postorder")
+TREE_FIELDS = ("_edge_sides", "_edge_ends", "_children", "_parent_edge", "_postorder")
 
 
 def test_build_is_canonical_whatever_the_raw_numbering():
@@ -150,6 +156,7 @@ def test_build_is_canonical_whatever_the_raw_numbering():
     trees += [random_binary_tree(n, seed=n) for n in range(8, 60)]
     for tree in trees:
         for again in (parse_tree(tree.serialize()), relabel(tree, range(1, tree.n + 1))):
+            assert again.edges() == tree.edges(), tree.serialize()
             for field in TREE_FIELDS:
                 assert getattr(again, field) == getattr(tree, field), (tree.serialize(), field)
 
@@ -256,3 +263,83 @@ def test_enumeration_order_matches_reference():
 def test_almost_perfect_binary_matches_reference():
     for n in list(range(2, 301)) + [1366]:
         assert build_almost_perfect_binary(n).serialize() == ref.almost_perfect_binary(n).serialize(), n
+
+
+# -- the mask-based builders against the per-leaf and round-scan forms --------
+
+
+def test_random_trees_match_per_leaf_reference():
+    # seeds 0-9 at n = 2..150: the same trees, edge order and hard subsets
+    for seed in range(10):
+        for n, want in enumerate(ref.random_trees(150, seed), start=2):
+            got = random_binary_tree(n, seed)
+            assert got.serialize() == want.serialize(), (seed, n)
+            assert got.edges() == want.edges(), (seed, n)   # an edge's key is a function of its side
+            if seed == 0:
+                assert [e.key for e in got.edges()] == ref.edge_keys(want), n
+            assert construct_hard_subset(got) == ref.construct_hard_subset(want), (seed, n)
+
+
+def test_random_trees_from_one_generator_match_reference():
+    # consecutive trees drawn from one generator consume the same draws
+    rng, ref_rng = CounterRng(41), CounterRng(41)
+    for n in [n for n in range(8, 13) for _ in range(20)] + [2, 3, 60, 200]:
+        got, want = random_binary_tree(n, rng=rng), ref.random_binary_tree(n, rng=ref_rng)
+        assert got.serialize() == want.serialize(), n
+    assert rng.next_u64() == ref_rng.next_u64()
+
+
+def test_edge_id_order_and_hash_follow_the_labels():
+    rng = CounterRng(8)
+    ids = []
+    for _ in range(300):
+        n = 2 + rng.randbelow(130)
+        labels = {1 + rng.randbelow(n) for _ in range(1 + rng.randbelow(6))}
+        ids.append(EdgeId(labels))
+    for a, b in zip(ids, ids[1:] + ids[:1]):
+        assert (a < b) == (a.sort_key() < b.sort_key()), (a, b)
+        assert (a == b) == (a.labels == b.labels)
+    tree = build_train_track(200)
+    for e in tree.edges():
+        named = EdgeId.from_key(e.key)
+        assert named == e and hash(named) == hash(e) and named.mask == e.mask
+        assert tree.resolve_edge(EdgeId(tree.leaves - set(e.labels))) is e
+    assert tree.edges() is tree.edges()
+    assert [e.key for e in sorted(reversed(tree.edges()))] == [e.key for e in tree.edges()]
+
+
+# -- scale gates: memory and build counts, no wall clock ----------------------
+
+
+def test_deep_caterpillar_tree_stays_small():
+    # sides are masks, so a caterpillar holds no O(n)-long tuple per edge
+    n = 3000
+    text = "(" * (n - 1) + "1," + "),".join(map(str, range(2, n + 1))) + ")"
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = parse_tree(text)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert tree.n == n
+    assert retained < 8 * 2**20
+
+
+def test_generators_build_one_tree_per_tree_returned(monkeypatch):
+    builds = []
+    init = Tree.__init__
+
+    def counted(self, adjacency, leaf_labels):
+        builds.append(len(leaf_labels))
+        init(self, adjacency, leaf_labels)
+
+    monkeypatch.setattr(Tree, "__init__", counted)
+    random_binary_tree(200, seed=3)
+    assert builds == [200]
+    builds.clear()
+    assert sum(1 for _ in all_binary_trees(6)) == 105
+    assert builds == [6] * 105

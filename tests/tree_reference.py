@@ -1,18 +1,21 @@
-"""Recursive references for the iterative tree walks in ``tncuts.trees``.
+"""Plain references for the tree builders in ``tncuts.trees`` and ``tncuts.models``.
 
-Each function is the plain recursive form of a package function: the
-shape signature re-renders the tree from every directed edge, the
-enumeration recurses on one leaf fewer and inserts each leaf by editing
-neighbour sets, and the almost-perfect tree is written by halving its
-leaf interval.  They are quadratic or recursive on
-purpose, so keep them to trees of a few hundred leaves.
+Each function is the plain form of a package function: the shape
+signature re-renders the tree from every directed edge, the enumeration
+recurses on one leaf fewer and inserts each leaf by editing neighbour
+sets, and the almost-perfect tree is written by halving its leaf
+interval.  The random tree builds one canonical ``Tree`` per inserted
+leaf, the edge keys are sorted label tuples of sides found by a walk,
+and the hard subset rescans every edge side in each round.  They are
+quadratic or recursive on purpose, so keep them to trees of a few
+hundred leaves.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from tncuts import Tree, build_train_track, parse_tree
+from tncuts import CounterRng, Tree, build_train_track, parse_tree
 
 
 def _neighbours(tree: Tree) -> list[set[int]]:
@@ -90,3 +93,78 @@ def almost_perfect_binary(n: int) -> Tree:
         return f"({expr(lo, mid)},{expr(mid + 1, hi)})"
 
     return parse_tree(expr(1, base))
+
+
+def random_trees(n: int, seed: int = 0, rng: CounterRng | None = None) -> Iterator[Tree]:
+    """The trees on 2, 3, ..., n leaves on the way to ``random_binary_tree(n)``.
+
+    Leaf k goes on the edge that ``randbelow`` picks from the canonical
+    edge order of the tree before it, a ``Tree`` built for each leaf.  The
+    draws for leaf k come after those for every smaller leaf, so the tree
+    on k leaves here is ``random_binary_tree(k, seed)``.
+    """
+    if rng is None:
+        rng = CounterRng(seed)
+    tree = build_train_track(2)
+    yield tree
+    for label in range(3, n + 1):
+        tree = insert_leaf(tree, rng.randbelow(len(tree.edges())), label)
+        yield tree
+
+
+def random_binary_tree(n: int, seed: int = 0, rng: CounterRng | None = None) -> Tree:
+    *_, tree = random_trees(n, seed, rng)
+    return tree
+
+
+def edge_keys(tree: Tree) -> list[str]:
+    """Every edge's key, in canonical order, from sorted label tuples.
+
+    Each edge's two sides come from a walk over neighbour sets; the key is
+    the side with the smaller (size, sorted labels) pair, and the keys are
+    sorted by that pair.
+    """
+    nbrs = _neighbours(tree)
+    everything = set(range(1, tree.n + 1))
+    keys = []
+    for u, v in tree._edge_ends:
+        seen, todo = {u, v}, [v]
+        for x in todo:
+            for y in nbrs[x] - seen:
+                seen.add(y)
+                todo.append(y)
+        side = {x + 1 for x in todo if x < tree.n}
+        keys.append(min((len(s), tuple(sorted(s))) for s in (side, everything - side)))
+    return ["-".join(map(str, labels)) for _, labels in sorted(keys)]
+
+
+def construct_hard_subset(tree: Tree) -> frozenset[int]:
+    """Greedy cherry elimination that rescans every edge side in each round.
+
+    While |L| >= 4, the cherries of the tree restricted to L, the leaves
+    left, are the 2-leaf sets among ``s & L`` and ``L & ~s`` over the edge
+    sides s; the one with the least smaller label goes, and that label
+    joins A.  A side meeting L in fewer than 2 leaves, or in more than
+    |L| - 2, names none, and never will again as L shrinks.  On 2 or 3
+    leaves the two smallest labels form the cherry.
+    """
+    left = tree._full_mask
+    sides = tree._edge_sides
+    chosen = set()
+    while left.bit_count() >= 4:
+        most = left.bit_count() - 2
+        live, cherries = [], []
+        for s in sides:
+            inside = (s & left).bit_count()
+            if 2 <= inside <= most:
+                live.append(s)
+                if inside == 2:
+                    cherries.append(s & left)
+                if inside == most:
+                    cherries.append(left & ~s)
+        sides = live
+        cherry = min(cherries, key=lambda part: part & -part)
+        chosen.add((cherry & -cherry).bit_length())
+        left ^= cherry
+    chosen.add((left & -left).bit_length())
+    return frozenset(chosen)
