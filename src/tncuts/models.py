@@ -10,7 +10,6 @@ each edge's own bipartition it is the optimal bond (optimalize).
 
 from __future__ import annotations
 
-import heapq
 import json
 from typing import Iterable, Mapping, NamedTuple
 
@@ -118,7 +117,9 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
         edge_keys: dict[EdgeId, str] = {}
         for key, value in raw_f.items():
             try:
-                eid = tree.resolve_edge(EdgeId.from_key(key))
+                labels = [int(part) for part in key.split("-")]
+                tree.mask_of(labels)   # rejects a label outside 1..n before EdgeId builds its mask
+                eid = tree.resolve_edge(EdgeId(labels))
             except ValueError:
                 raise ValueError(f"edge key {key!r} does not name an edge of the tree") from None
             if eid in edge_keys:
@@ -340,46 +341,30 @@ def construct_hard_subset(tree: Tree) -> frozenset[int]:
     """Leaf subset whose minimal monochromatic cut has >= floor(n/2) edges.
 
     Greedy cherry elimination, in ascending order of the cherries' smaller
-    label: take the cherry of the tree restricted to L, the leaves left,
-    whose smaller label is least, put that label in A and delete both
-    leaves.  The restricted tree is kept as neighbour sets.  Deleting a
-    cherry {x, y} at inner vertex c, on 4 or more leaves, deletes c and
-    leaves c's third neighbour d with two neighbours a and b, which are
-    joined; only a and b can gain a cherry.  So a heap of (smaller label,
-    vertex) cherries, pushed as they appear and skipped when stale, finds
-    each round's cherry: O(n log n) in all.  On 2 or 3 leaves the two
-    smallest labels form the cherry.
+    label: take a cherry of the tree restricted to L, the leaves left, put
+    its smaller label in A and delete both leaves.  While |L| >= 4, those
+    cherries are exactly the 2-leaf sets among ``s & L`` and ``L & ~s`` over
+    the edge sides s.  A side meeting L in fewer than 2 leaves, or in more
+    than |L| - 2, names none, and never will again as L shrinks.  On 2 or 3
+    leaves the two smallest labels form the cherry.
     """
-    n = tree.n
-    nbrs: list[set[int]] = [set() for _ in range(tree.num_vertices)]
-    for u, v in tree._edge_ends:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    heap = []
-    for c in range(n, tree.num_vertices):
-        leaves = [u for u in nbrs[c] if u < n]
-        if len(leaves) == 2:
-            heap.append((min(leaves), c))
-    heapq.heapify(heap)
+    left = tree._full_mask
+    sides = tree._edge_sides
     chosen = set()
-    for _ in range((n - 2) // 2):   # one round per cherry until 2 or 3 leaves are left
-        while True:   # a deleted vertex's entry is stale; a live cherry vertex keeps its leaves
-            x, c = heapq.heappop(heap)
-            if nbrs[c]:
-                break
-        pair = {u for u in nbrs[c] if u < n}
-        chosen.add(x + 1)
-        (d,) = nbrs[c] - pair
-        for u in (*pair, c):
-            nbrs[u].clear()
-        nbrs[d].discard(c)
-        a, b = nbrs[d]
-        nbrs[d].clear()
-        for u, w in ((a, b), (b, a)):
-            nbrs[u].discard(d)
-            nbrs[u].add(w)
-            leaves = [y for y in nbrs[u] if y < n]
-            if u >= n and len(leaves) == 2:
-                heapq.heappush(heap, (min(leaves), u))
-    chosen.add(next(u for u in range(n) if nbrs[u]) + 1)
+    while left.bit_count() >= 4:
+        most = left.bit_count() - 2
+        live, cherries = [], []
+        for s in sides:
+            inside = (s & left).bit_count()
+            if 2 <= inside <= most:
+                live.append(s)
+                if inside == 2:
+                    cherries.append(s & left)
+                if inside == most:
+                    cherries.append(left & ~s)
+        sides = live
+        cherry = min(cherries, key=lambda part: part & -part)
+        chosen.add((cherry & -cherry).bit_length())
+        left ^= cherry
+    chosen.add((left & -left).bit_length())
     return frozenset(chosen)

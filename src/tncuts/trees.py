@@ -11,12 +11,12 @@ sides of one size, the one holding the lowest bit of their XOR has the
 smaller sorted labels, so one XOR orders them; an edge's ``labels`` and
 ``key`` are rendered from its mask only when asked for.  A tree builds its
 ``EdgeId`` objects once, on the first ``edges()`` call.  The generators
-grow plain edge lists and build one ``Tree`` per tree they return.
+grow plain edge lists or adjacencies and build one ``Tree`` per tree they
+return.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .rng import CounterRng
@@ -45,6 +45,8 @@ class EdgeId:
     hash is that of (size, least label), which no two sides of one tree
     share; an int's own hash depends on its bit positions modulo 61 only,
     so the leaf sides of a tree on more than 61 leaves would collide.
+    The mask is as wide as the highest label, which no tree bounds here:
+    check labels read from input with ``Tree.mask_of`` first.
     """
 
     __slots__ = ("mask", "_labels", "_hash")
@@ -506,53 +508,22 @@ def random_binary_tree(n: int, seed: int = 0, rng: CounterRng | None = None) -> 
     """Uniform-ish random labelled tree by random leaf insertion.
 
     Leaf k + 1 goes in the middle of the edge that ``rng.randbelow`` picks
-    from the canonical edge order of the tree on leaves 1..k.  That order is
-    kept as a sorted list of (side size, least label of the side, child)
-    per edge, rooted at leaf 1 as in ``_canonical_edges``: the side is the
-    child's subtree of ``size[child]`` leaves while that is the strictly
-    smaller half, and otherwise the other side, whose least label is 1.
-    Inserting a leaf grows the subtrees on its root path, and the other
-    side of every edge whose canonical side holds leaf 1; those edges form
-    one path from the root, so only the keys on two paths move.  One
-    ``Tree`` is built, at the end.
+    from the canonical edge order of the tree on leaves 1..k.  The tree
+    grows as an adjacency put in canonical edge order before each draw, so
+    it takes O(n^2 log n) steps; one ``Tree`` is built, at the end.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves")
     if rng is None:
         rng = CounterRng(seed)
-    # vertex 0 is leaf 1, the root, whose entries are never read; vertex 1 is leaf 2
-    parent = [-1, 0]
-    size = [0, 1]       # leaves in each vertex's subtree
-    least = [1, 2]      # least leaf label in each vertex's subtree
-    labels = {0: 1, 1: 2}
-
-    def key(v: int, k: int) -> tuple[int, int, int]:
-        s = size[v]
-        return (s, least[v], v) if 2 * s < k else (k - s, 1, v)
-
-    order = [key(1, 2)]
-    heavy = [1]         # children whose canonical side holds leaf 1
+    adj, labels = {0: {1}, 1: {0}}, {0: 1, 1: 2}
     for k in range(2, n):
-        v = order[rng.randbelow(2 * k - 3)][2]
-        mid, leaf = len(parent), len(parent) + 1
-        path = [mid]
-        u = parent[v]
-        while u:
-            path.append(u)
-            u = parent[u]
-        moved = set(path[1:]).union(heavy)
-        for u in moved:
-            del order[bisect_left(order, key(u, k))]
-        parent += [parent[v], mid]
-        size += [size[v], 1]
-        least += [least[v], k + 1]
-        parent[v] = mid
+        _, u, v = _canonical_edges(adj, labels)[rng.randbelow(2 * k - 3)]
+        mid, leaf = len(adj), len(adj) + 1
+        adj[u].remove(v)
+        adj[v].remove(u)
+        adj[u].add(mid)
+        adj[v].add(mid)
+        adj[mid], adj[leaf] = {u, v, leaf}, {mid}
         labels[leaf] = k + 1
-        for u in path:
-            size[u] += 1
-        moved.add(mid)
-        for u in moved:
-            insort(order, key(u, k + 1))
-        insort(order, key(leaf, k + 1))
-        heavy = [u for u in moved if 2 * size[u] >= k + 1]
-    return Tree(_adjacency((parent[v], v) for v in range(1, len(parent))), labels)
+    return Tree(adj, labels)

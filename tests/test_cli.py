@@ -236,6 +236,14 @@ def test_hardset_rank_bound_at_the_digit_limit(capsys):
             '{"tree": "((1,2),(3,4))", "f": {"2-3-4-4": 2, "2": 2, "3": 2, "4": 2, "1-2": 2},'
             ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
         ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1-99999999999": 2, "2": 2, "3": 2, "4": 2, "1-2": 2},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1": 2, "2": 2, "3": 2, "4": 2, "1-2": 2,'
+            ' "100000000000000000000": 2}, "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
     ],
     ids=[
         "top_level_list",
@@ -250,6 +258,8 @@ def test_hardset_rank_bound_at_the_digit_limit(capsys):
         "repeated_key",
         "edge_key_repeats_label",
         "leaf_key_repeats_label",
+        "edge_key_huge_label",
+        "leaf_key_huge_label",
     ],
 )
 def test_malformed_model_is_input_error(tmp_path, text):
