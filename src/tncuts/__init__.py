@@ -19,6 +19,7 @@ _EXPORTS = {
     "cuts": (
         "CutResult",
         "ProductCut",
+        "construct_hard_subset",
         "max_colour_cut",
         "min_mono_cut",
         "min_product_cut",
@@ -43,7 +44,6 @@ _EXPORTS = {
         "RankPrediction",
         "TnsModel",
         "compare_models",
-        "construct_hard_subset",
         "generic_rank",
         "load_model",
         "model_from_json_dict",

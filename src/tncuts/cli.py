@@ -139,8 +139,7 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_hardset(args) -> dict:
-    from .cuts import min_mono_cut
-    from .models import construct_hard_subset
+    from .cuts import construct_hard_subset, min_mono_cut
 
     if args.r < 1:
         raise _CliError(f"--r must be >= 1, got {args.r}")

@@ -9,7 +9,9 @@ leaves up, then a witness walk from the root down.  A growing leaf set (the
 prefixes of a leaf order) updates those costs on one root path per added
 leaf instead of re-running the pass.  The maximum colour cut
 needs no table: one greedy pass from the leaves up finds it.  The two
-verifiers check a given cut in one more pass from the leaves up.
+verifiers check a given cut in one more pass from the leaves up.  A hard
+subset, whose minimum monochromatic cut has at least floor(n/2) edges,
+comes from greedy cherry elimination over the edge sides.
 """
 
 from __future__ import annotations
@@ -249,3 +251,39 @@ def verify_mono_cut(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> bool
 def verify_colour_cut(tree: Tree, a: Iterable[int], cut: Iterable[EdgeId]) -> bool:
     """True iff removing ``cut`` leaves every component with leaves of both colours."""
     return all(bits == 3 for bits in _part_colours(tree, a, cut))
+
+
+# -- hard subsets (exponential rank growth) --------------------------------------
+
+
+def construct_hard_subset(tree: Tree) -> frozenset[int]:
+    """Leaf subset whose minimal monochromatic cut has >= floor(n/2) edges.
+
+    Greedy cherry elimination, in ascending order of the cherries' smaller
+    label: take a cherry of the tree restricted to L, the leaves left, put
+    its smaller label in A and delete both leaves.  While |L| >= 4, those
+    cherries are exactly the 2-leaf sets among ``s & L`` and ``L & ~s`` over
+    the edge sides s.  A side meeting L in fewer than 2 leaves, or in more
+    than |L| - 2, names none, and never will again as L shrinks.  On 2 or 3
+    leaves the two smallest labels form the cherry.
+    """
+    left = tree._full_mask
+    sides = tree._edge_sides
+    chosen = set()
+    while left.bit_count() >= 4:
+        most = left.bit_count() - 2
+        live, cherries = [], []
+        for s in sides:
+            inside = (s & left).bit_count()
+            if 2 <= inside <= most:
+                live.append(s)
+                if inside == 2:
+                    cherries.append(s & left)
+                if inside == most:
+                    cherries.append(left & ~s)
+        sides = live
+        cherry = min(cherries, key=lambda part: part & -part)
+        chosen.add((cherry & -cherry).bit_length())
+        left ^= cherry
+    chosen.add((left & -left).bit_length())
+    return frozenset(chosen)

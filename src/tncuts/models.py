@@ -117,9 +117,7 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
         edge_keys: dict[EdgeId, str] = {}
         for key, value in raw_f.items():
             try:
-                labels = [int(part) for part in key.split("-")]
-                tree.mask_of(labels)   # rejects a label outside 1..n before EdgeId builds its mask
-                eid = tree.resolve_edge(EdgeId(labels))
+                eid = tree.resolve_edge(EdgeId.from_key(key))
             except ValueError:
                 raise ValueError(f"edge key {key!r} does not name an edge of the tree") from None
             if eid in edge_keys:
@@ -332,39 +330,3 @@ def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
         checks.append(EdgeCheck(eid, required, m2.f[eid], m2.f[eid] >= required))
     witness = next((c.edge for c in checks if not c.ok), None)
     return ComparisonReport(tuple(checks), witness is None, witness)
-
-
-# -- hard subsets (exponential rank growth) --------------------------------------
-
-
-def construct_hard_subset(tree: Tree) -> frozenset[int]:
-    """Leaf subset whose minimal monochromatic cut has >= floor(n/2) edges.
-
-    Greedy cherry elimination, in ascending order of the cherries' smaller
-    label: take a cherry of the tree restricted to L, the leaves left, put
-    its smaller label in A and delete both leaves.  While |L| >= 4, those
-    cherries are exactly the 2-leaf sets among ``s & L`` and ``L & ~s`` over
-    the edge sides s.  A side meeting L in fewer than 2 leaves, or in more
-    than |L| - 2, names none, and never will again as L shrinks.  On 2 or 3
-    leaves the two smallest labels form the cherry.
-    """
-    left = tree._full_mask
-    sides = tree._edge_sides
-    chosen = set()
-    while left.bit_count() >= 4:
-        most = left.bit_count() - 2
-        live, cherries = [], []
-        for s in sides:
-            inside = (s & left).bit_count()
-            if 2 <= inside <= most:
-                live.append(s)
-                if inside == 2:
-                    cherries.append(s & left)
-                if inside == most:
-                    cherries.append(left & ~s)
-        sides = live
-        cherry = min(cherries, key=lambda part: part & -part)
-        chosen.add((cherry & -cherry).bit_length())
-        left ^= cherry
-    chosen.add((left & -left).bit_length())
-    return frozenset(chosen)

@@ -11,12 +11,13 @@ sides of one size, the one holding the lowest bit of their XOR has the
 smaller sorted labels, so one XOR orders them; an edge's ``labels`` and
 ``key`` are rendered from its mask only when asked for.  A tree builds its
 ``EdgeId`` objects once, on the first ``edges()`` call.  The generators
-grow plain edge lists or adjacencies and build one ``Tree`` per tree they
-return.
+grow plain edge lists, one leaf insertion at a time, and build one
+``Tree`` per tree they return.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .rng import CounterRng
@@ -41,36 +42,36 @@ class EdgeId:
     """Canonical edge name: the smaller side of the edge's leaf bipartition.
 
     It holds that side as a leaf mask: hashing, equality and order read
-    the mask alone, and ``labels`` is rendered from it on first use.  The
+    the mask alone, and ``labels`` is rendered from it on each call.  The
     hash is that of (size, least label), which no two sides of one tree
     share; an int's own hash depends on its bit positions modulo 61 only,
     so the leaf sides of a tree on more than 61 leaves would collide.
-    The mask is as wide as the highest label, which no tree bounds here:
-    check labels read from input with ``Tree.mask_of`` first.
+    The mask is as wide as the highest label, so labels above 2**24 are
+    refused before one is built.
     """
 
-    __slots__ = ("mask", "_labels", "_hash")
+    __slots__ = ("mask", "_hash")
 
     def __init__(self, labels: Iterable[int]):
-        labels = tuple(sorted(labels))
+        labels = sorted(labels)
         if not labels:
             raise ValueError("an edge key needs at least one leaf label")
         if labels[0] < 1:
             raise ValueError(f"leaf labels start at 1, got {labels[0]}")
+        if labels[-1] > 1 << 24:
+            raise ValueError(f"leaf label {labels[-1]} is above 2**24")
         mask = 0
         for lab in labels:
             mask |= 1 << (lab - 1)
         if mask.bit_count() != len(labels):
             raise ValueError("an edge key names each leaf label once")
         self.mask = mask
-        self._labels: tuple[int, ...] | None = labels
         self._hash = hash((len(labels), labels[0]))
 
     @classmethod
     def _of_side(cls, mask: int) -> "EdgeId":
         eid = cls.__new__(cls)
         eid.mask = mask
-        eid._labels = None
         eid._hash = hash((mask.bit_count(), (mask & -mask).bit_length()))
         return eid
 
@@ -84,16 +85,14 @@ class EdgeId:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        if self._labels is None:
-            self._labels = _mask_labels(self.mask)
-        return self._labels
+        return _mask_labels(self.mask)
 
     @property
     def key(self) -> str:
         return "-".join(map(str, self.labels))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (len(self.labels), self.labels)
+        return (self.mask.bit_count(), self.labels)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, EdgeId) and self.mask == other.mask
@@ -319,60 +318,41 @@ class Tree:
 def parse_tree(text: str) -> Tree:
     """Parse a fully parenthesised binary expression such as ``((1,2),(3,4))``.
 
-    The implied degree-2 root is suppressed, so the result is unrooted and
-    the root edge survives as an ordinary edge.
+    Whitespace is dropped, and the rest is one shift-reduce pass (Knuth,
+    1965) of T := label | "(" T "," T ")" over the tokens: a run of
+    decimal digits, or one character.  Labels, "(" and "," are pushed; a
+    ")" replaces the top four items "(", x, ",", y with a new vertex joined
+    to x and y.  Any other stack at a ")" or at the end is an error naming
+    the position.  The implied degree-2 root is suppressed, so the result
+    is unrooted and the root edge survives as an ordinary edge.
     """
     s = "".join(text.split())
-    if not s:
-        raise TreeParseError("empty input")
     adj: dict[int, set[int]] = {}
     labels: dict[int, int] = {}
-    open_pairs: list[list[int]] = []   # one list of finished operands per unclosed "("
-    i = 0
-    while True:
-        if i >= len(s):
-            raise TreeParseError("unexpected end of input")
-        if s[i] == "(":
-            open_pairs.append([])
-            i += 1
+    stack: list[int | str] = []   # "(", "," and the vertices of finished subtrees
+    for token in re.finditer(r"\d+|.", s):
+        tok, v = token.group(), len(adj)
+        if tok == "(" or tok == ",":
+            stack.append(tok)
             continue
-        j = i
-        while j < len(s) and s[j].isdigit():
-            j += 1
-        if j == i:
-            raise TreeParseError(f"expected a leaf label at position {i}")
-        v = len(adj)
-        adj[v] = set()
-        labels[v] = int(s[i:j])
-        i = j
-        # A finished operand either needs its right sibling or closes pairs.
-        while open_pairs:
-            pair = open_pairs[-1]
-            pair.append(v)
-            if len(pair) == 1:
-                if i >= len(s) or s[i] != ",":
-                    raise TreeParseError(f"expected ',' at position {i}")
-                i += 1
-                break
-            if i >= len(s) or s[i] != ")":
-                raise TreeParseError(f"unbalanced parentheses at position {i}")
-            open_pairs.pop()
-            v = len(adj)
-            adj[v] = set(pair)
-            for u in pair:
-                adj[u].add(v)
-            i += 1
+        if tok.isdecimal():
+            adj[v] = set()
+            labels[v] = int(tok)
+        elif tok == ")" and len(stack) >= 4 and stack[-4::2] == ["(", ","] and type(stack[-3]) is type(stack[-1]) is int:
+            x, y = stack[-3], stack[-1]
+            del stack[-4:]
+            adj[v] = {x, y}
+            adj[x].add(v)
+            adj[y].add(v)
         else:
-            break  # every pair is closed: v is the root
-    if i != len(s):
-        raise TreeParseError(f"trailing characters after position {i}")
-    if v in labels:
-        raise TreeParseError("a tree needs at least 2 leaves")
-    a, b = adj.pop(v)
-    adj[a].discard(v)
-    adj[b].discard(v)
-    adj[a].add(b)
-    adj[b].add(a)
+            raise TreeParseError(f"unexpected {tok!r} at position {token.start()}")
+        stack.append(v)
+    if len(stack) != 1 or type(stack[0]) is not int or stack[0] in labels:
+        raise TreeParseError(f"expected one parenthesised pair ending at position {len(s)}")
+    root = stack[0]
+    a, b = adj.pop(root)
+    adj[a] ^= {root, b}   # a and b, once the root's children, are joined
+    adj[b] ^= {root, a}
     return Tree(adj, labels)
 
 
@@ -428,40 +408,36 @@ def complement(tree: Tree, a: Iterable[int]) -> frozenset[int]:
 # -- tree generation ------------------------------------------------------
 
 
-def _grown(ends: Sequence[tuple[int, int]], labels: dict[int, int]) -> Iterator[tuple[list, dict]]:
-    """The tree with one more leaf, labelled n + 1, on each edge in turn.
+def _inserted(ends: Sequence[tuple[int, int]], labels: dict[int, int], i: int) -> tuple[list, dict]:
+    """The tree with one more leaf, labelled n + 1, in the middle of ``ends[i]``.
 
     A tree here is a plain edge list on vertices 0..len(ends) plus its leaf
-    -> label map, such as ``Tree._edge_ends``; each yielded tree puts the new
-    leaf in the middle of ``ends[i]``, for i in order.
+    -> label map, such as ``Tree._edge_ends``.
     """
     mid, leaf = len(ends) + 1, len(ends) + 2
-    labels = labels | {leaf: len(labels) + 1}
-    for i, (u, v) in enumerate(ends):
-        yield [*ends[:i], (u, mid), (mid, v), (mid, leaf), *ends[i + 1 :]], labels
+    u, v = ends[i]
+    return [*ends[:i], (u, mid), (mid, v), (mid, leaf), *ends[i + 1 :]], labels | {leaf: len(labels) + 1}
 
 
 def all_binary_trees(n: int) -> Iterator[Tree]:
     """All (2n-5)!! leaf-labelled unrooted binary trees, deterministically.
 
-    Depth first over leaf insertions in canonical edge order, one generator
-    per tree on the stack.  A tree with fewer than n leaves is only put in
-    canonical edge order; a ``Tree`` is built once per tree yielded.
+    Depth first over leaf insertions in canonical edge order: a stack holds
+    the trees still to grow, and a tree's insertions are pushed last edge
+    first, so they pop in edge order.  A tree with fewer than n leaves is
+    only put in canonical edge order; a ``Tree`` is built once per tree
+    yielded.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    stack = [iter([([(0, 1)], {0: 1, 1: 2})])]
+    stack = [([(0, 1)], {0: 1, 1: 2})]
     while stack:
-        item = next(stack[-1], None)
-        if item is None:
-            stack.pop()
-            continue
-        ends, labels = item
+        ends, labels = stack.pop()
         if len(labels) == n:
             yield Tree(_adjacency(ends), labels)
         else:
             ordered = [(u, v) for _, u, v in _canonical_edges(_adjacency(ends), labels)]
-            stack.append(_grown(ordered, labels))
+            stack.extend(_inserted(ordered, labels, i) for i in reversed(range(len(ordered))))
 
 
 def _shape_signature(tree: Tree) -> str:
@@ -497,7 +473,8 @@ def tree_shapes(n: int) -> list[Tree]:
     for _ in range(3, n + 1):
         seen: dict[str, Tree] = {}
         for rep in reps:
-            for ends, labels in _grown(rep._edge_ends, {v: v + 1 for v in range(rep.n)}):
+            for i in range(len(rep._edge_ends)):
+                ends, labels = _inserted(rep._edge_ends, {v: v + 1 for v in range(rep.n)}, i)
                 candidate = Tree(_adjacency(ends), labels)
                 seen.setdefault(_shape_signature(candidate), candidate)
         reps = [seen[sig] for sig in sorted(seen)]
@@ -509,21 +486,15 @@ def random_binary_tree(n: int, seed: int = 0, rng: CounterRng | None = None) -> 
 
     Leaf k + 1 goes in the middle of the edge that ``rng.randbelow`` picks
     from the canonical edge order of the tree on leaves 1..k.  The tree
-    grows as an adjacency put in canonical edge order before each draw, so
+    grows as an edge list put in canonical edge order before each draw, so
     it takes O(n^2 log n) steps; one ``Tree`` is built, at the end.
     """
     if n < 2:
         raise ValueError("need at least 2 leaves")
     if rng is None:
         rng = CounterRng(seed)
-    adj, labels = {0: {1}, 1: {0}}, {0: 1, 1: 2}
+    ends, labels = [(0, 1)], {0: 1, 1: 2}
     for k in range(2, n):
-        _, u, v = _canonical_edges(adj, labels)[rng.randbelow(2 * k - 3)]
-        mid, leaf = len(adj), len(adj) + 1
-        adj[u].remove(v)
-        adj[v].remove(u)
-        adj[u].add(mid)
-        adj[v].add(mid)
-        adj[mid], adj[leaf] = {u, v, leaf}, {mid}
-        labels[leaf] = k + 1
-    return Tree(adj, labels)
+        ordered = [(u, v) for _, u, v in _canonical_edges(_adjacency(ends), labels)]
+        ends, labels = _inserted(ordered, labels, rng.randbelow(2 * k - 3))
+    return Tree(_adjacency(ends), labels)

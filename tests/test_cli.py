@@ -78,7 +78,7 @@ COMMAND_MODULES = {
     "verify": {"trees", "rng", "cuts", "models", "fieldmath", "oracle"},
     "hackbusch": {"trees", "rng", "cuts", "hackbusch"},
     "compare": {"trees", "rng", "cuts", "models"},
-    "hardset": {"trees", "rng", "cuts", "models"},
+    "hardset": {"trees", "rng", "cuts"},
     "optimalize": {"trees", "rng", "cuts", "models"},
     "permscan": {"trees", "rng", "cuts", "hackbusch"},
 }
@@ -111,7 +111,7 @@ def test_each_command_loads_only_its_modules():
     assert [name for name, modules in loaded.items() if "dataclasses" in modules] == []
     assert [
         name for name, modules in loaded.items()
-        if commands[name] in ("minmono", "hackbusch", "permscan") and "tncuts.models" in modules
+        if commands[name] in ("minmono", "hardset", "hackbusch", "permscan") and "tncuts.models" in modules
     ] == []
     assert [
         name for name, modules in loaded.items() if commands[name] == "minmono" and "tncuts.fieldmath" in modules

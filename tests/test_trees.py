@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_reference as ref
+from cut_oracle import hard_subset_by_pruning
 from tncuts import (
     CounterRng,
     EdgeId,
@@ -265,24 +266,51 @@ def test_almost_perfect_binary_matches_reference():
         assert build_almost_perfect_binary(n).serialize() == ref.almost_perfect_binary(n).serialize(), n
 
 
-# -- the mask-based builders against the per-leaf and round-scan forms --------
+def _parsed(parse, text: str) -> str | None:
+    try:
+        return parse(text).serialize()
+    except ValueError:
+        return None
+
+
+def test_parser_matches_recursive_descent_reference():
+    # every one-character deletion, insertion and substitution of 300 seeded
+    # random expressions on 2-4 leaves: the same accept or reject, and the
+    # same tree
+    alphabet = "(),0123456789 x\u00b2"
+    rng = CounterRng(1965)
+    edits = set()
+    for _ in range(300):
+        parts = [str(lab) for lab in range(1, 3 + rng.randbelow(3))]
+        while len(parts) > 1:
+            first = parts.pop(rng.randbelow(len(parts)))
+            second = parts.pop(rng.randbelow(len(parts)))
+            parts.append(f"({first},{second})")
+        text = parts[0]
+        edits |= {text[:i] + text[i + 1 :] for i in range(len(text))}
+        edits |= {text[:i] + c + text[i + j :] for i in range(len(text) + 1) for c in alphabet for j in (0, 1)}
+    for edited in sorted(edits):
+        assert _parsed(parse_tree, edited) == _parsed(ref.parse_tree, edited), edited
+
+
+# -- the mask-based builders against the per-leaf forms and the pruning oracle --
 
 
 def test_random_trees_match_per_leaf_reference():
-    # seeds 0-9 at n = 2..150: the same trees, edge order and hard subsets.
-    # An inserted leaf never moves, so the tree on leaves 1..m is the
-    # restriction of every later tree and a match at n = 150 pins every
-    # earlier draw; the builder, O(n^2 log n) per call, runs at each n up to
-    # 60 and at 75, 100, 125 and 150.
+    # seeds 0-9 at n = 2..150: the same trees and edge order, and the hard
+    # subsets of the pruning oracle.  An inserted leaf never moves, so the
+    # tree on leaves 1..m is the restriction of every later tree and a match
+    # at n = 150 pins every earlier draw; the builder, O(n^2 log n) per
+    # call, runs at each n up to 60 and at 75, 100, 125 and 150.
     for seed in range(10):
         for n, want in enumerate(ref.random_trees(150, seed), start=2):
             if n <= 60 or n % 25 == 0:
                 got = random_binary_tree(n, seed)
                 assert got.serialize() == want.serialize(), (seed, n)
                 assert got.edges() == want.edges(), (seed, n)   # an edge's key is a function of its side
+                assert construct_hard_subset(got) == hard_subset_by_pruning(got), (seed, n)
             if seed == 0:
                 assert [e.key for e in want.edges()] == ref.edge_keys(want), n
-            assert construct_hard_subset(want) == ref.construct_hard_subset(want), (seed, n)
 
 
 def test_random_trees_from_one_generator_match_reference():
@@ -311,6 +339,14 @@ def test_edge_id_order_and_hash_follow_the_labels():
         assert tree.resolve_edge(EdgeId(tree.leaves - set(e.labels))) is e
     assert tree.edges() is tree.edges()
     assert [e.key for e in sorted(reversed(tree.edges()))] == [e.key for e in tree.edges()]
+
+
+def test_edge_id_refuses_labels_above_2_to_the_24():
+    # a mask is as wide as its highest label: about 12 GB for 10**11
+    for make in (lambda: EdgeId([10**11]), lambda: EdgeId.from_key("1-99999999999"), lambda: EdgeId([3, 2**24 + 1])):
+        with pytest.raises(ValueError):
+            make()
+    assert EdgeId([1, 2**24]).mask.bit_length() == 2**24
 
 
 # -- scale gates: memory and build counts, no wall clock ----------------------

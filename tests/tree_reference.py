@@ -1,21 +1,72 @@
-"""Plain references for the tree builders in ``tncuts.trees`` and ``tncuts.models``.
+"""Plain references for the parser and tree builders in ``tncuts.trees``.
 
-Each function is the plain form of a package function: the shape
-signature re-renders the tree from every directed edge, the enumeration
-recurses on one leaf fewer and inserts each leaf by editing neighbour
-sets, and the almost-perfect tree is written by halving its leaf
-interval.  The random tree builds one canonical ``Tree`` per inserted
-leaf, the edge keys are sorted label tuples of sides found by a walk,
-and the hard subset rescans every edge side in each round.  They are
+Each function is the plain form of a package function: the parser is a
+recursive descent, the shape signature re-renders the tree from every
+directed edge, the enumeration recurses on one leaf fewer and inserts
+each leaf by editing neighbour sets, and the almost-perfect tree is
+written by halving its leaf interval and read by the parser here.  The
+random tree builds one canonical ``Tree`` per inserted leaf, and the
+edge keys are sorted label tuples of sides found by a walk.  They are
 quadratic or recursive on purpose, so keep them to trees of a few
 hundred leaves.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
-from tncuts import CounterRng, Tree, build_train_track, parse_tree
+from tncuts import CounterRng, Tree, build_train_track
+
+
+def parse_tree(text: str) -> Tree:
+    """Recursive descent over T := label | "(" T "," T ")" with whitespace dropped.
+
+    The top-level pair's two subtrees are joined by one edge, with no root
+    vertex between them; a label is a run of decimal digits, and anything
+    else out of place raises ValueError.
+    """
+    s = "".join(text.split())
+    adj: dict[int, set[int]] = {}
+    labels: dict[int, int] = {}
+    pos = 0
+
+    def take(char: str) -> None:
+        nonlocal pos
+        if not s.startswith(char, pos):
+            raise ValueError(f"expected {char!r} at position {pos}")
+        pos += 1
+
+    def pair() -> tuple[int, int]:
+        take("(")
+        left = subtree()
+        take(",")
+        right = subtree()
+        take(")")
+        return left, right
+
+    def subtree() -> int:
+        nonlocal pos
+        v = len(adj)
+        adj[v] = set()
+        if s.startswith("(", pos):
+            for u in pair():
+                adj[u].add(v)
+                adj[v].add(u)
+            return v
+        digits = re.compile(r"\d+").match(s, pos)
+        if digits is None:
+            raise ValueError(f"expected a leaf label at position {pos}")
+        labels[v] = int(digits.group())
+        pos = digits.end()
+        return v
+
+    a, b = pair()
+    if pos != len(s):
+        raise ValueError(f"trailing characters at position {pos}")
+    adj[a].add(b)
+    adj[b].add(a)
+    return Tree(adj, labels)
 
 
 def _neighbours(tree: Tree) -> list[set[int]]:
@@ -136,35 +187,3 @@ def edge_keys(tree: Tree) -> list[str]:
         side = {x + 1 for x in todo if x < tree.n}
         keys.append(min((len(s), tuple(sorted(s))) for s in (side, everything - side)))
     return ["-".join(map(str, labels)) for _, labels in sorted(keys)]
-
-
-def construct_hard_subset(tree: Tree) -> frozenset[int]:
-    """Greedy cherry elimination that rescans every edge side in each round.
-
-    While |L| >= 4, the cherries of the tree restricted to L, the leaves
-    left, are the 2-leaf sets among ``s & L`` and ``L & ~s`` over the edge
-    sides s; the one with the least smaller label goes, and that label
-    joins A.  A side meeting L in fewer than 2 leaves, or in more than
-    |L| - 2, names none, and never will again as L shrinks.  On 2 or 3
-    leaves the two smallest labels form the cherry.
-    """
-    left = tree._full_mask
-    sides = tree._edge_sides
-    chosen = set()
-    while left.bit_count() >= 4:
-        most = left.bit_count() - 2
-        live, cherries = [], []
-        for s in sides:
-            inside = (s & left).bit_count()
-            if 2 <= inside <= most:
-                live.append(s)
-                if inside == 2:
-                    cherries.append(s & left)
-                if inside == most:
-                    cherries.append(left & ~s)
-        sides = live
-        cherry = min(cherries, key=lambda part: part & -part)
-        chosen.add((cherry & -cherry).bit_length())
-        left ^= cherry
-    chosen.add((left & -left).bit_length())
-    return frozenset(chosen)
