@@ -50,11 +50,13 @@ def _load_tree(path: str):
 
 
 def _parse_subset(text: str) -> frozenset[int]:
+    from .trees import _parse_label
+
     text = text.strip()
     if not text:
         return frozenset()
     try:
-        return frozenset(int(part) for part in text.split(","))
+        return frozenset(_parse_label(part.strip()) for part in text.split(","))
     except ValueError:
         raise _CliError(f"bad subset {text!r}: expected comma-separated labels") from None
 
@@ -115,17 +117,9 @@ def _cmd_verify(args) -> dict:
     return {"predicted": pred.value, "exact": pred.exact, "oracle": oracle, "agree": agree}
 
 
-def hackbusch_verdict(n: int, r: int):
-    """``tncuts.hackbusch_verdict``, loading its module on first call.
-
-    Kept as a name of this module, so that a caller can replace it here.
-    """
-    from .hackbusch import hackbusch_verdict as verdict
-
-    return verdict(n, r)
-
-
 def _cmd_hackbusch(args) -> dict:
+    from .hackbusch import hackbusch_verdict
+
     _check_cap("--n", args.n, _MAX_HACKBUSCH_N)
     return hackbusch_verdict(args.n, args.r).to_json_dict()
 

@@ -80,8 +80,6 @@ def _full_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], 
 
 def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
     """Cheapest product of weights over the monochromatic cuts for the leaf mask."""
-    if amask == 0 or amask == tree._full_mask:
-        return 1
     c0, c1 = _full_costs(tree, amask, weights)
     return c1[0] if amask & 1 else c0[0]
 
@@ -112,8 +110,6 @@ def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
 
 def _product_cut(tree: Tree, amask: int, weights: list[int]) -> tuple[int, frozenset[EdgeId]]:
     """Cheapest product of weights over the monochromatic cuts, with a witness."""
-    if amask == 0 or amask == tree._full_mask:
-        return 1, frozenset()
     c0, c1 = _full_costs(tree, amask, weights)
     # Witness walk from the root down.  On ties prefer keeping the edge,
     # which pushes cuts towards the leaves.
@@ -173,8 +169,12 @@ def max_colour_cut(tree: Tree, a: Iterable[int]) -> CutResult:
     One greedy pass from the leaves up, rooted at leaf 1: a vertex's open
     part is its subtree minus the parts already closed below it, and as
     soon as a non-root vertex's open part holds both colours the edge to
-    its parent is cut.  If leaf 1's part ends single-coloured, one cut edge
-    on its border is restored, merging it into a bicoloured part.
+    its parent is cut; a vertex's children are taken in reverse.  If leaf
+    1's part ends single-coloured, the last edge cut is restored, merging
+    that part into a bicoloured one.  That edge hangs below the last vertex
+    in post-order with a closed child, which is the first such vertex a
+    breadth-first walk down leaf 1's part meets, and it is the first of
+    that vertex's closed children.
 
     Optimal: let best(T) be the most parts in a partition of T into
     connected bicoloured parts (0 if there is none); a colour cut of k
@@ -199,22 +199,17 @@ def max_colour_cut(tree: Tree, a: Iterable[int]) -> CutResult:
     cut_edges = []
     for v in tree._postorder:
         s = seen[v]
-        for u, ei in children[v]:
+        for u, ei in reversed(children[v]):
             if seen[u] == 3:
                 cut_edges.append(ei)
             else:
                 s |= seen[u]
         seen[v] = s
     if seen[0] != 3:
-        # A nonempty proper A closes some part, so leaf 1's part has a cut
-        # edge on its border; walk down its uncut edges to the first one.
-        part = [0]
-        for v in part:
-            border = [ei for u, ei in children[v] if seen[u] == 3]
-            if border:
-                cut_edges.remove(border[0])
-                break
-            part.extend(u for u, _ in children[v])
+        # A nonempty proper A closes some part.  The last edge cut borders
+        # leaf 1's part: were an ancestor of its upper end closed, that
+        # ancestor's parent, later in post-order, would have a closed child.
+        cut_edges.pop()
     edges = tree.edges()
     return CutResult(len(cut_edges), frozenset(edges[i] for i in cut_edges))
 

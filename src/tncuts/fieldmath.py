@@ -159,7 +159,7 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
         raise SizeCapError(f"product of {m * n} entries exceeds the cap of {SIZE_CAP}")
     _check_work("product", m * k * n, MATMUL_WORK_CAP)
     a, b = a.view(np.uint64), b.view(np.uint64)
-    out = a[:, :4] @ b[:4] if k > 4 else a @ b
+    out = a[:, :4] @ b[:4]
     out %= p
     for i in range(4, k, 4):
         out += a[:, i : i + 4] @ b[i : i + 4]

@@ -70,30 +70,6 @@ class PermScanResult(NamedTuple):
     witness: tuple[int, ...]
 
 
-def _memo_exponent(tree: Tree):
-    """k of ``_prefix_exponent`` for any leaf order, from cut sizes memoised per prefix mask.
-
-    A prefix's minimal monochromatic cut depends only on its leaf set, so a
-    scan over every order evaluates the cut DP once per mask it meets, at
-    most 2^n times, instead of one root-path update per prefix per order.
-    """
-    weights = [2] * len(tree._edge_ends)
-    sizes: dict[int, int] = {}
-
-    def exponent(order: Sequence[int]) -> int:
-        k = mask = 0
-        for v in order[:-1]:
-            mask |= 1 << v
-            size = sizes.get(mask)
-            if size is None:
-                size = sizes[mask] = _cheapest_cut(tree, mask, weights).bit_length() - 1
-            if size > k:
-                k = size
-        return k
-
-    return exponent
-
-
 def min_exponent_over_permutations(
     tree: Tree,
     mode: str = "exhaustive",
@@ -105,13 +81,28 @@ def min_exponent_over_permutations(
     mode "exhaustive" scans all n! permutations (n <= 8 only); "sampled"
     tries ``trials`` random permutations from the seeded generator.
     witness[i-1] is the new label of the leaf currently labelled i.
+
+    A prefix's minimal monochromatic cut depends only on its leaf set, so
+    the exhaustive scan first tabulates the cut size of all 2^n leaf masks,
+    one cut DP each, and then reads every prefix of every order from that
+    table.  A sampled order instead takes one root-path update of the cut
+    DP per prefix.
     """
     n = tree.n
     if mode == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive permutation scan is limited to n <= 8")
         candidates = permutations(range(1, n + 1))
-        exponent = _memo_exponent(tree)
+        weights = [2] * len(tree._edge_ends)
+        sizes = [_cheapest_cut(tree, mask, weights).bit_length() - 1 for mask in range(1 << n)]
+
+        def exponent(order):
+            k = mask = 0
+            for v in order[:-1]:
+                mask |= 1 << v
+                if sizes[mask] > k:
+                    k = sizes[mask]
+            return k
     elif mode == "sampled":
         if trials < 1:
             raise ValueError("need at least one trial")

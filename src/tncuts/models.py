@@ -14,7 +14,7 @@ import json
 from typing import Iterable, Mapping, NamedTuple
 
 from .cuts import _cheapest_cut, min_product_cut
-from .trees import EdgeId, Tree, parse_tree
+from .trees import EdgeId, Tree, _parse_label, parse_tree
 
 
 class _Frozen:
@@ -141,7 +141,7 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
         for key, value in raw_dims.items():
             if not _is_int(value):
                 raise ValueError(f"dimension for leaf {key!r} must be an integer")
-            leaf = int(key)
+            leaf = _parse_label(key)
             if leaf in leaf_keys:
                 raise ValueError(f"leaf keys {leaf_keys[leaf]!r} and {key!r} name the same leaf")
             leaf_keys[leaf] = key
@@ -257,12 +257,12 @@ def optimalize(model: TnsModel) -> TnsModel:
     - f* <= h: f* <= g pointwise, and f*(e) is at most its bipartition's
       cheapest cut over f*.
 
-    Idempotent, never increases f, never drops below 1.
+    Idempotent, never increases f, never drops below 1.  It is the
+    ``required`` column of ``compare_models(model, model)``: the smallest
+    bond function on the same tree whose model still contains this one.
     """
-    tree = model.tree
-    bonds = _clamped_bonds(model)
-    f = {eid: _cheapest_cut(tree, side, bonds) for eid, side in zip(tree.edges(), tree._edge_sides)}
-    return TnsModel(tree, f, dict(model.dims))
+    f = {check.edge: check.required for check in compare_models(model, model).edges}
+    return TnsModel(model.tree, f, dict(model.dims))
 
 
 # -- model comparison -----------------------------------------------------------

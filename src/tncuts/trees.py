@@ -27,6 +27,13 @@ class TreeParseError(ValueError):
     """Malformed parenthesised tree expression."""
 
 
+def _parse_label(text: str) -> int:
+    """A leaf label in a key or a subset list, read as tree text writes it: a run of decimal digits."""
+    if not (isinstance(text, str) and text.isdecimal()):
+        raise ValueError(f"leaf label {text!r} is not a run of decimal digits")
+    return int(text)
+
+
 def _mask_labels(mask: int) -> tuple[int, ...]:
     """Ascending labels of the set bits of a leaf mask (bit i is label i + 1)."""
     bits = bin(mask)[:1:-1]   # bits[i] is bit i
@@ -78,10 +85,7 @@ class EdgeId:
     @classmethod
     def from_key(cls, key: str) -> "EdgeId":
         """Parse a dash-joined key such as ``"1-2-3"``."""
-        try:
-            return cls(int(part) for part in key.split("-"))
-        except ValueError as exc:
-            raise ValueError(f"bad edge key {key!r}") from exc
+        return cls(map(_parse_label, key.split("-")))
 
     @property
     def labels(self) -> tuple[int, ...]:

@@ -5,8 +5,11 @@ the public edge bipartitions.  The minimum monochromatic cut comes from an
 exhaustive subset search or, on larger trees, from a BFS augmenting-path
 max-flow; the maximum colour cut from an exhaustive search over growing
 sizes; the cut checks from the leaf classes a cut leaves.  The hard subset comes from
-pruning a mutable copy of the tree vertex by vertex, sharing no code with
-``tncuts.models``.
+pruning a mutable copy of the tree vertex by vertex.  The one exception is
+``colour_cut_by_restore_walk``, a reference for ``max_colour_cut``'s
+witness rather than an oracle: the same greedy pass over the tree's
+orientation, restored by walking down leaf 1's part instead of by
+dropping the last edge cut.
 """
 
 from __future__ import annotations
@@ -188,6 +191,38 @@ def brute_force_max_colour(tree: Tree, a: Iterable[int]) -> int | None:
         if not any(is_colour_cut(sum(1 << i for i in combo), size) for combo in combinations(range(n_edges), size)):
             return size - 1
     raise AssertionError("cutting every edge leaves single leaves, never a colour cut")
+
+
+def colour_cut_by_restore_walk(tree: Tree, a: Iterable[int]) -> tuple[int | None, frozenset[EdgeId]]:
+    """Greedy maximum colour cut, restored by a walk down leaf 1's part.
+
+    The greedy pass closes a vertex as soon as its open part holds both
+    colours, taking its children in order.  If leaf 1's part ends
+    single-coloured, a breadth-first walk down its uncut edges restores the
+    first cut edge it meets on the part's border.
+    """
+    amask = tree.mask_of(a)
+    if amask == 0 or amask == (1 << tree.n) - 1:
+        return None, frozenset()
+    children = tree._children
+    seen = [2 - ((amask >> v) & 1) for v in range(tree.n)] + [0] * (tree.num_vertices - tree.n)
+    cut_edges = []
+    for v in tree._postorder:
+        for u, ei in children[v]:
+            if seen[u] == 3:
+                cut_edges.append(ei)
+            else:
+                seen[v] |= seen[u]
+    if seen[0] != 3:
+        part = [0]
+        for v in part:
+            border = [ei for u, ei in children[v] if seen[u] == 3]
+            if border:
+                cut_edges.remove(border[0])
+                break
+            part.extend(u for u, _ in children[v])
+    edges = tree.edges()
+    return len(cut_edges), frozenset(edges[i] for i in cut_edges)
 
 
 def hard_subset_by_pruning(tree: Tree) -> frozenset[int]:

@@ -158,6 +158,10 @@ def test_exit_code_input_errors(tmp_path):
     out = run_cli("minmono", "--tree", "inputs/cat4.txt", "--subset", "1,9", check=False)
     assert out.returncode == 1
 
+    # a label is a run of decimal digits, as in tree text: not leaf 10 and leaf 2
+    out = run_cli("minmono", "--tree", "inputs/ex12.txt", "--subset", "1_0,+2", check=False)
+    assert out.returncode == 1 and out.stdout == b""
+
     out = run_cli("minmono", "--tree", "no_such_file.txt", "--subset", "1", check=False)
     assert out.returncode == 1
 
@@ -244,6 +248,21 @@ def test_hardset_rank_bound_at_the_digit_limit(capsys):
             '{"tree": "((1,2),(3,4))", "f": {"1": 2, "2": 2, "3": 2, "4": 2, "1-2": 2,'
             ' "100000000000000000000": 2}, "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
         ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"+1": 2, "2": 2, "3": 2, "4": 2, "1-2": 2},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1": 2, " 2": 2, "3": 2, "4": 2, "1-2": 2},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        (
+            '{"tree": "((1,2),(3,4))", "f": {"1": 2, "2": 2, "3": 2, "4": 2, "1-0_2": 2},'
+            ' "dims": {"1": 2, "2": 2, "3": 2, "4": 2}}'
+        ),
+        '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"1": 2, "2": 2, "3 ": 2, "4": 2}}',
+        '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"1": 2, "0_2": 2, "3": 2, "4": 2}}',
+        '{"tree": "((1,2),(3,4))", "f": 2, "dims": {"+1": 2, "2": 2, "3": 2, "4": 2}}',
     ],
     ids=[
         "top_level_list",
@@ -260,6 +279,12 @@ def test_hardset_rank_bound_at_the_digit_limit(capsys):
         "leaf_key_repeats_label",
         "edge_key_huge_label",
         "leaf_key_huge_label",
+        "edge_key_signed_label",
+        "edge_key_spaced_label",
+        "edge_key_underscored_label",
+        "leaf_key_spaced_label",
+        "leaf_key_underscored_label",
+        "leaf_key_signed_label",
     ],
 )
 def test_malformed_model_is_input_error(tmp_path, text):
@@ -389,12 +414,13 @@ def test_exit_code_zero_on_success():
 
 
 def test_exit_code_internal_assertion(monkeypatch, capsys):
+    import tncuts.hackbusch
     from tncuts import LandmarkMismatchError, cli
 
     def boom(n, r):
         raise LandmarkMismatchError("exponent fell outside the expected interval")
 
-    monkeypatch.setattr(cli, "hackbusch_verdict", boom)
+    monkeypatch.setattr(tncuts.hackbusch, "hackbusch_verdict", boom)
     assert cli.main(["hackbusch", "--n", "6", "--r", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "interval" in captured.err

@@ -10,15 +10,18 @@ from cut_oracle import (
     brute_force_max_colour,
     brute_force_min_mono,
     brute_subset_scan,
+    colour_cut_by_restore_walk,
     min_cut_by_flow,
     verify_by_leaf_classes,
 )
 from tncuts import (
     CounterRng,
     EdgeId,
+    TnsModel,
     all_binary_trees,
     build_train_track,
     complement,
+    generic_rank,
     max_colour_cut,
     min_mono_cut,
     min_product_cut,
@@ -27,6 +30,7 @@ from tncuts import (
     verify_colour_cut,
     verify_mono_cut,
 )
+from tncuts.models import _cut_bound
 
 CAT4 = parse_tree("((1,2),(3,4))")
 EX12 = parse_tree("((((1,2),3),((4,5),6)),(((7,8),9),((10,11),12)))")
@@ -51,6 +55,18 @@ def test_empty_and_full_subsets():
     assert min_mono_cut(CAT4, set()).size == 0
     assert min_mono_cut(CAT4, {1, 2, 3, 4}).size == 0
     assert min_mono_cut(CAT4, set()).witness == frozenset()
+    # every labelled tree of 2-6 leaves, through the cut DP itself: cost 1
+    # at the root, and the witness walk keeps every edge
+    rng = CounterRng(29)
+    for n in range(2, 7):
+        for tree in all_binary_trees(n):
+            f = {e: 1 + rng.randbelow(5) for e in tree.edges()}
+            model = TnsModel(tree, f, {lab: 1 + rng.randbelow(4) for lab in range(1, n + 1)})
+            for a in (set(), tree.leaves):
+                assert min_mono_cut(tree, a) == (0, frozenset()), tree.serialize()
+                assert min_product_cut(tree, a, f) == (1, frozenset()), tree.serialize()
+                assert _cut_bound(model, tree.mask_of(a)) == 1
+                assert generic_rank(model, a).value == 1
 
 
 def test_edge_split_needs_one_cut():
@@ -75,6 +91,20 @@ def test_ex12_colour_cut():
 def test_colour_cut_empty_cases():
     assert max_colour_cut(CAT4, set()).size is None
     assert max_colour_cut(CAT4, {1, 2, 3, 4}).size is None
+
+
+def test_colour_cut_witness_matches_restore_walk():
+    # every labelled tree of 2-6 leaves with every subset, then seeded trees
+    # of 8-60 leaves with subsets of density 1/4, 1/2 and 3/4
+    cases = [(tree, bits) for n in range(2, 7) for tree in all_binary_trees(n) for bits in range(1 << n)]
+    rng = CounterRng(37)
+    for _ in range(120):
+        tree = random_binary_tree(8 + rng.randbelow(53), rng=rng)
+        for density in (1, 2, 3) * 3:
+            cases.append((tree, sum((rng.randbelow(4) < density) << i for i in range(tree.n))))
+    for tree, bits in cases:
+        a = tree.labels_of_mask(bits)
+        assert max_colour_cut(tree, a) == colour_cut_by_restore_walk(tree, a), (tree.serialize(), sorted(a))
 
 
 def test_cat4_colour_cut_central():

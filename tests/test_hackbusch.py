@@ -107,7 +107,7 @@ def test_permscan_reads_preimage_prefixes():
 
 
 def _scan_every_order(tree):
-    """Reference exhaustive scan: one root-path update per prefix of every leaf order, no memo."""
+    """Reference exhaustive scan: one root-path update per prefix of every leaf order, no table of cut sizes."""
     n = tree.n
     best = witness = None
     for perm in permutations(range(1, n + 1)):
