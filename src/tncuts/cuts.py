@@ -139,21 +139,16 @@ def min_mono_cut(tree: Tree, a: Iterable[int]) -> CutResult:
     return CutResult(cost.bit_length() - 1, witness)
 
 
-def _check_edge_function(tree: Tree, f: Mapping[EdgeId, int]) -> list[int]:
-    values = []
+def min_product_cut(tree: Tree, a: Iterable[int], f: Mapping[EdgeId, int]) -> ProductCut:
+    """Minimise prod f(e) over monochromatic cuts for A, exactly."""
+    fvals = []
     for eid in tree.edges():
         if eid not in f:
             raise ValueError(f"edge function is missing edge {eid}")
         v = f[eid]
         if v < 1:
             raise ValueError(f"edge function must be >= 1 everywhere, got {v} at {eid}")
-        values.append(v)
-    return values
-
-
-def min_product_cut(tree: Tree, a: Iterable[int], f: Mapping[EdgeId, int]) -> ProductCut:
-    """Minimise prod f(e) over monochromatic cuts for A, exactly."""
-    fvals = _check_edge_function(tree, f)
+        fvals.append(v)
     return ProductCut(*_product_cut(tree, tree.mask_of(a), fvals))
 
 

@@ -47,13 +47,9 @@ class ExponentResult(NamedTuple):
 
 def _prefix_exponent(tree: Tree, order: Sequence[int]) -> ExponentResult:
     """tt_exponent over the prefixes of ``order``, a list of leaf vertices (label - 1)."""
-    best = 0
-    witness = 1
-    for j, size in enumerate(_prefix_mono_sizes(tree, order), 1):
-        if size > best:
-            best = size
-            witness = j
-    return ExponentResult(best, witness)
+    sizes = list(_prefix_mono_sizes(tree, order))
+    best = max(sizes)
+    return ExponentResult(best, sizes.index(best) + 1)
 
 
 def tt_exponent(tree: Tree) -> ExponentResult:
@@ -146,12 +142,7 @@ class Verdict(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "witness_j": self.witness_j,
-            "inclusion_bond": self.inclusion_bond,
-            "exclusion_bond": self.exclusion_bond,
+            **self._asdict(),
             "inclusion": f"HT({self.n},{self.r}) ⊆ TT({self.n},{self.inclusion_bond})",
             "exclusion": f"HT({self.n},{self.r}) ⊄ TT({self.n},{self.exclusion_bond})",
         }

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Mapping, NamedTuple
 
-from .cuts import _cheapest_cut, min_product_cut
+from .cuts import _cheapest_cut, _product_cut
 from .trees import EdgeId, Tree, _parse_label, parse_tree
 
 
@@ -188,28 +188,29 @@ def predict_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:
     dimension; otherwise the value is an upper bound for every tensor in
     the model.
     """
-    amask = model.tree.mask_of(a)
-    if amask == 0 or amask == model.tree._full_mask:
+    tree = model.tree
+    amask = tree.mask_of(a)
+    if amask == 0 or amask == tree._full_mask:
         return RankPrediction(1, True, frozenset())
-    cut = min_product_cut(model.tree, model.tree.labels_of_mask(amask), model.f)
+    product, witness = _product_cut(tree, amask, [model.f[e] for e in tree.edges()])
     r = model.is_constant()
     exact = r is not None and all(r <= d for d in model.dims.values())
-    return RankPrediction(cut.product, exact, cut.witness)
+    return RankPrediction(product, exact, witness)
 
 
 # -- optimal bond function -----------------------------------------------------
 
 
 def _clamped_bonds(model: TnsModel) -> list[int]:
-    """Bonds in canonical edge order, each leaf edge's clamped by its leaf's dimension."""
-    tree = model.tree
-    bonds = []
-    for eid, (u, v) in zip(tree.edges(), tree._edge_ends):
-        bond = model.f[eid]
-        for end in (u, v):
-            if end < tree.n:
-                bond = min(bond, model.dims[end + 1])
-        bonds.append(bond)
+    """Bonds in canonical edge order, each leaf edge's clamped by its leaf's dimension.
+
+    Leaf i's edge is ``edges()[i - 1]``, and on 2 leaves both leaves
+    share edge 0 (see ``Tree``).
+    """
+    bonds = [model.f[e] for e in model.tree.edges()]
+    for leaf, d in model.dims.items():
+        i = min(leaf, len(bonds)) - 1
+        bonds[i] = min(bonds[i], d)
     return bonds
 
 
@@ -237,9 +238,8 @@ def generic_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:
     Unlike ``predict_rank``, which reads the raw bonds, this holds for any
     bond function and any leaf dimensions.
     """
-    tree = model.tree
-    cut = min_product_cut(tree, a, dict(zip(tree.edges(), _clamped_bonds(model))))
-    return RankPrediction(cut.product, True, cut.witness)
+    product, witness = _product_cut(model.tree, model.tree.mask_of(a), _clamped_bonds(model))
+    return RankPrediction(product, True, witness)
 
 
 def optimalize(model: TnsModel) -> TnsModel:
@@ -301,10 +301,7 @@ class ComparisonReport(NamedTuple):
             "passed": self.passed,
             "witness": self.witness.key if self.witness else None,
             "note": "necessary condition for inclusion of the first model in the second; passing does not prove inclusion",
-            "edges": [
-                {"edge": c.edge.key, "required": c.required, "actual": c.actual, "ok": c.ok}
-                for c in self.edges
-            ],
+            "edges": [{**c._asdict(), "edge": c.edge.key} for c in self.edges],
         }
 
 

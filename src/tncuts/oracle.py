@@ -128,9 +128,8 @@ def _draw(tree: Tree, bonds: list[int], dims: tuple[int, ...], seed: int, p: int
         sorted([tree._parent_edge[v], *(ei for _, ei in tree._children[v])]) for v in range(n, tree.num_vertices)
     ]
     shapes = [tuple(bonds[i] for i in edge_idx) for edge_idx in core_edges]
-    # leaf 1 is the root: its one edge is edge 0, its only child edge
-    leaf_edges = [tree._children[0][0][1], *tree._parent_edge[1:n]]
-    shapes += [(dims[leaf], bonds[leaf_edges[leaf]]) for leaf in range(n)]
+    # leaf vertex v's edge is edge v, and on 2 leaves both share edge 0 (see Tree)
+    shapes += [(dims[leaf], bonds[min(leaf, len(bonds) - 1)]) for leaf in range(n)]
     sizes = [prod(shape) for shape in shapes]
     if sum(sizes) > SIZE_CAP:
         raise SizeCapError(f"drawing {sum(sizes)} entries exceeds the cap of {SIZE_CAP}")
@@ -196,14 +195,14 @@ def estimate_generic_rank(
     if trials < 1:
         raise ValueError("need at least one trial")
     labels = frozenset(a)
-    best = flattening_rank(sample_tns_tensor(model, derive_seed(seed, 0), p), labels)
-    # Exact equality: a wrong bound that trial 0 misses runs every trial.
+    # Exact equality: a wrong bound that no trial meets runs every trial.
     bound = _cut_bound(model, model.tree.mask_of(labels))
-    for i in range(1, trials):
-        if best == bound:
-            break
+    best = 0
+    for i in range(trials):
         t = sample_tns_tensor(model, derive_seed(seed, i), p)
         best = max(best, flattening_rank(t, labels))
+        if best == bound:
+            break
     return best
 
 

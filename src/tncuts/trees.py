@@ -131,6 +131,11 @@ def _canonical_edges(
     any other overlap would make the two splits equal.  So the lowest bit
     of their XOR is the lower of their lowest bits, and (size, least
     label) sorts them.
+
+    The walk checks that each vertex it reaches lists the vertex it came
+    from.  With the degree sum of a tree and connectivity, that makes the
+    neighbour lists symmetric: the walk's edges, one fewer than the
+    vertices, fill all of them.
     """
     n = len(leaf_labels)
     root = next(v for v, lab in leaf_labels.items() if lab == 1)
@@ -139,6 +144,8 @@ def _canonical_edges(
     for v in order:
         for u in adj[v]:
             if u not in parent:
+                if v not in adj.get(u, ()):
+                    raise ValueError(f"vertex {v!r} lists {u!r}, but {u!r} does not list {v!r}")
                 parent[u] = v
                 order.append(u)
     if len(order) != len(adj):
@@ -166,7 +173,9 @@ class Tree:
     raw adjacency dict plus a vertex -> label map and normalises it.
     Internally vertices are renumbered so that vertex i < n is the leaf
     with label i + 1 and inner vertices follow in a canonical order, which
-    makes every traversal deterministic.  The one adjacency kept is the
+    makes every traversal deterministic.  Size-1 sides sort first, by
+    label, so for n >= 3 leaf i's edge is ``edges()[i - 1]``; the 2-leaf
+    tree's one edge belongs to both leaves.  The one adjacency kept is the
     orientation rooted at vertex 0: ``_children``, ``_parent_edge`` and
     ``_postorder``; every walk over it is a loop, never a recursion.
     ``_edge_sides`` holds each edge's canonical side in edge order; the
@@ -195,8 +204,8 @@ class Tree:
         if sorted(leaf_labels.values()) != list(range(1, n + 1)):
             raise ValueError("leaf labels must be exactly 1..n without repeats")
         num_vertices = len(adj)
-        if sum(map(len, adj.values())) != 2 * (num_vertices - 1):
-            raise ValueError("edge count must equal vertex count - 1")
+        if num_vertices != 2 * n - 2 or sum(map(len, adj.values())) != 2 * (num_vertices - 1):
+            raise ValueError("a binary tree on n leaves has 2n - 2 vertices and 2n - 3 edges")
         for v, nbrs in adj.items():
             want = 1 if v in leaf_labels else 3
             if len(nbrs) != want:

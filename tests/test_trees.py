@@ -72,6 +72,43 @@ def test_edge_counts():
     for n in range(2, 9):
         tree = build_train_track(n)
         assert len(tree.edges()) == (1 if n == 2 else 2 * n - 3)
+    # leaf edges by canonical position: leaf i's edge is edges()[i - 1]
+    trees = [tree for n in range(2, 8) for tree in all_binary_trees(n)]
+    trees += [random_binary_tree(n, seed=seed) for n in range(8, 61) for seed in range(2)]
+    for tree in trees:
+        labels = [e.labels for e in tree.edges()]
+        if tree.n == 2:
+            assert labels == [(1,)]
+        else:
+            assert labels[: tree.n] == [(i + 1,) for i in range(tree.n)], tree.serialize()
+
+
+@pytest.mark.parametrize(
+    "adjacency, leaf_labels, message",
+    [
+        # dangling neighbour: 3 lists 9, which is not a vertex
+        ({0: {3}, 1: {3}, 2: {3}, 3: {0, 1, 9}}, {0: 1, 1: 2, 2: 3}, "does not list"),
+        # one-sided lists: 5 lists 0, and 0 does not list 5
+        ({0: {4}, 1: {4}, 2: {5}, 3: {5}, 4: {0, 1, 5}, 5: {2, 3, 0}}, {0: 1, 1: 2, 2: 3, 3: 4}, "does not list"),
+        ({0: {1}, 1: {2}}, {0: 1, 1: 2}, "does not list"),
+        # a 2-leaf path plus a triangle with a pendant leaf on each corner:
+        # vertex count, edge count and degrees all fit a tree on 5 leaves
+        (
+            {0: {1}, 1: {0}, 2: {5}, 3: {6}, 4: {7}, 5: {2, 6, 7}, 6: {3, 5, 7}, 7: {4, 5, 6}},
+            {v: v + 1 for v in range(5)},
+            "must be connected",
+        ),
+        # inner vertex 4 has degree 4 and inner vertex 5 degree 2
+        ({0: {4}, 1: {4}, 2: {4}, 3: {5}, 4: {0, 1, 2, 5}, 5: {3, 4}}, {0: 1, 1: 2, 2: 3, 3: 4}, "degree"),
+        # leaves 1 and 2 joined: four vertices, but four edges
+        ({0: {1, 3}, 1: {0, 3}, 2: {3}, 3: {0, 1, 2}}, {0: 1, 1: 2, 2: 3}, "2n - 3 edges"),
+        # leaf 3's vertex is missing from the adjacency
+        ({0: {1}, 1: {0}}, {0: 1, 1: 2, 9: 3}, "2n - 2 vertices"),
+    ],
+)
+def test_tree_constructor_rejects_bad_adjacency(adjacency, leaf_labels, message):
+    with pytest.raises(ValueError, match=message):
+        Tree(adjacency, leaf_labels)
 
 
 def test_train_track_splits():
