@@ -7,7 +7,8 @@ byte-identical output.
 
 Runaway inputs are capped (exit 3): ``verify --trials`` and ``permscan
 --mode sampled --trials`` at 100000, and ``hackbusch --n`` at 21845, the
-last leaf count of the seventh landmark interval.  ``permscan --mode
+last leaf count of the seventh landmark interval; a tree or model file
+whose tree has more leaves is refused as well.  ``permscan --mode
 sampled`` also caps its work, trials x n^2 for a tree of n leaves, at
 2 * 10^7: each trial computes the exponent of one leaf order, one
 root-path update of the cut DP per prefix, O(n * depth), which is still
@@ -29,7 +30,7 @@ from math import log10
 from typing import Iterable
 
 _MAX_TRIALS = 100_000
-_MAX_HACKBUSCH_N = 21845
+_MAX_HACKBUSCH_N = 21845  # the leaf cap of every tree input too (trees._MAX_LEAVES)
 _MAX_PERMSCAN_WORK = 20_000_000  # trials x n^2; 7-13 s at the cap on caterpillars
 
 

@@ -1,7 +1,11 @@
 """Exact linear algebra over GF(p) for word-sized primes (p < 2**31).
 
-The elimination kernel is the hot loop of the rank oracle; it is the
-vectorised numpy row elimination below.  Both kernels delay the reduction
+The elimination is the hot loop of the rank oracle: one vectorised numpy
+row elimination, ``_eliminate``, that works in place on a uint64 buffer
+with entries in [0, p).  It has two ways in, each making the one copy it
+eliminates: ``rank_mod`` reduces any int64 matrix into the buffer, and
+``oracle.flattening_rank`` copies a tensor's flattening into it as it
+is.  Both kernels, elimination and product, delay the reduction
 mod p, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): they
 work in uint64 and reduce once per four products of two residues, since
 p - 1 + 4*(p-1)^2 < 2^64 for p <= MAX_PRIME.  A larger p would overflow
@@ -86,35 +90,56 @@ def _check_work(name: str, madds: int, cap: int) -> None:
 
 
 def rank_mod(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by row elimination (numpy, exact); the input is left as it was.
+    """Rank over GF(p) of any 2-d int64 array; the input is left as it was.
 
-    The shorter side becomes the rows of one reduced uint64 copy, taken top
-    to bottom.  A row that reduces to zero depends on the rows above it;
-    otherwise its first nonzero is the pivot, and (p - factor) times the row
-    is added to each row below, so every update is a non-negative product
-    of two residues, at most (p - 1)^2.  The rows below are reduced once
-    every four updates, from the leftmost column those updates touched: an
-    entry is then at most p - 1 + 4(p - 1)^2 < 2^64.  Between reductions the
-    entries are unreduced, so the row is reduced before the nonzero search
-    (an unreduced multiple of p is a zero) and the pivot column before it is
-    multiplied.  More than RANK_WORK_CAP multiply-adds, counted as
-    m * k * min(m, k) for an m x k input, raise SizeCapError before the copy.
+    The shorter side becomes the rows of one reduced uint64 copy, the only
+    copy taken, which ``_eliminate`` then works on in place.  More than
+    RANK_WORK_CAP multiply-adds, counted as m * k * min(m, k) for an m x k
+    input, raise SizeCapError before the copy.
     """
     import numpy as np
     a = np.asarray(matrix, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("rank_mod expects a 2-d array")
-    _check_modulus(p)
     if a.shape[0] > a.shape[1]:
         a = a.T
-    m, k = a.shape
+    buf = _rank_buffer(*a.shape, p)
+    np.remainder(a, p, out=buf.view(np.int64))
+    return _eliminate(buf, p)
+
+
+def _rank_buffer(m: int, k: int, p: int) -> np.ndarray:
+    """An empty C-ordered uint64 (m, k) array for ``_eliminate``, once p and
+    the work m * m * k have passed their caps."""
+    import numpy as np
+    _check_modulus(p)
     _check_work("elimination", m * m * k, RANK_WORK_CAP)
-    a = np.remainder(a, p, dtype=np.int64, order="C").view(np.uint64)
+    return np.empty((m, k), dtype=np.uint64)
+
+
+def _eliminate(a: np.ndarray, p: int) -> int:
+    """Rank of a C-ordered uint64 (m, k) array, m <= k, with entries in [0, p).
+
+    Row elimination in place, top to bottom; ``a`` is overwritten.  A row
+    that reduces to zero depends on the rows above it; otherwise its first
+    nonzero is the pivot, and (p - factor) times the row is added to each
+    row below, so every update is a non-negative product of two residues,
+    at most (p - 1)^2.  The rows below are reduced once every four updates,
+    from the leftmost column those updates touched: an entry is then at
+    most p - 1 + 4(p - 1)^2 < 2^64.  Between reductions the entries are
+    unreduced, so a row with updates pending is reduced in place before the
+    nonzero search (an unreduced multiple of p is a zero), and the pivot
+    column before it is multiplied.
+    """
+    import numpy as np
+    m, k = a.shape
     q = np.uint64(p)
     rank = updates = 0
     lo = k  # leftmost column updated since the last reduction
     for i in range(m):
-        row = a[i] % q
+        row = a[i]
+        if updates:
+            row[lo:] %= q
         nz = row.nonzero()[0]
         if nz.size == 0:
             continue

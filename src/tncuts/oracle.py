@@ -26,8 +26,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, matmul_mod, rank_mod, validate_prime
-from .models import TnsModel, _clamped_bonds, _cut_bound, _Frozen
+from .cuts import _cheapest_cut
+from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, _eliminate, _rank_buffer, matmul_mod, validate_prime
+from .fieldmath import rank_mod  # noqa: F401  (unused; perfbench's tracer patches it in every module)
+from .models import TnsModel, _clamped_bonds, _Frozen
 from .rng import CounterRng, derive_seed
 from .trees import Tree
 
@@ -101,6 +103,11 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
     bonds, the leaf dimensions, the seed and p, returns the same tensor
     while it stays within the memo's byte budget.
     """
+    return _sample(model, _clamped_bonds(model), seed, p)
+
+
+def _sample(model: TnsModel, bonds: list[int], seed: int, p: int) -> DenseTensor:
+    """``sample_tns_tensor`` given the model's clamped bonds."""
     validate_prime(p)
     n = model.tree.n
     if n > _MAX_AXES:
@@ -109,7 +116,6 @@ def sample_tns_tensor(model: TnsModel, seed: int = 0, p: int = DEFAULT_PRIME) ->
     total = prod(dims)
     if total > SIZE_CAP:
         raise SizeCapError(f"dense tensor of {total} entries exceeds the cap of {SIZE_CAP}")
-    bonds = _clamped_bonds(model)
     key = (model.tree, tuple(bonds), dims, seed, p)
     with _sample_memo_lock:
         t = _sample_memo.get(key)
@@ -161,7 +167,16 @@ def _draw(tree: Tree, bonds: list[int], dims: tuple[int, ...], seed: int, p: int
 
 
 def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
-    """Exact rank of the matrix with A-leaf indices as rows."""
+    """Exact rank of the matrix with A-leaf indices as rows.
+
+    Both sides are sized from the tensor's shape, and the shorter one
+    becomes the rows (the rank is the same on the transpose).  The
+    flattening is then one copy, straight from the transposed tensor into
+    the buffer that ``_eliminate`` works on in place: the entries already
+    lie in [0, p), so nothing is reduced, and the tensor is left as it was.
+    A zero-length axis on either side gives rank 0.  More than
+    RANK_WORK_CAP multiply-adds raise SizeCapError before the copy.
+    """
     labels = set(a)
     for lab in labels:
         if not 1 <= lab <= t.n:
@@ -170,10 +185,12 @@ def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
         return 0 if t.is_zero() else 1
     rows = sorted(lab - 1 for lab in labels)
     cols = [i for i in range(t.n) if i + 1 not in labels]
-    mat = np.transpose(t.data, rows + cols).reshape(
-        prod(t.shape[i] for i in rows), -1
-    )
-    return rank_mod(mat, t.p)
+    m, k = prod(t.shape[i] for i in rows), prod(t.shape[i] for i in cols)
+    if m > k:
+        rows, cols, m, k = cols, rows, k, m
+    buf = _rank_buffer(m, k, t.p)
+    np.copyto(buf.reshape([t.shape[i] for i in rows + cols]), np.transpose(t.data.view(np.uint64), rows + cols))
+    return _eliminate(buf, t.p)
 
 
 def estimate_generic_rank(
@@ -195,11 +212,13 @@ def estimate_generic_rank(
     if trials < 1:
         raise ValueError("need at least one trial")
     labels = frozenset(a)
+    bonds = _clamped_bonds(model)
+    # _cut_bound, with the bonds clamped once for it and every sample.
     # Exact equality: a wrong bound that no trial meets runs every trial.
-    bound = _cut_bound(model, model.tree.mask_of(labels))
+    bound = _cheapest_cut(model.tree, model.tree.mask_of(labels), bonds)
     best = 0
     for i in range(trials):
-        t = sample_tns_tensor(model, derive_seed(seed, i), p)
+        t = _sample(model, bonds, derive_seed(seed, i), p)
         best = max(best, flattening_rank(t, labels))
         if best == bound:
             break

@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 # 1500 leaves nest deeper than Python's recursion limit
 CAT1500 = build_train_track(1500).serialize()
+# one leaf more than every tree input may have, as build_train_track writes it
+CAT21846 = "(" * 21845 + "1," + "),".join(map(str, range(2, 21847))) + ")"
 
 
 def run_cli(*args, check=True):
@@ -343,6 +345,9 @@ BIG_RANK_WORK = {"tree": "(1,2)", "f": 1, "dims": {"1": 1024, "2": 1024}}
         ("verify", "--model", "big_product.json", "--subset", "3"),
         ("verify", "--model", "big_product_work.json", "--subset", "1"),
         ("verify", "--model", "big_rank_work.json", "--subset", "1"),
+        # a Tree's memory grows as n^2 with its leaves
+        ("minmono", "--tree", "cat21846.txt", "--subset", "1"),
+        ("predict", "--model", "cat21846.json", "--subset", "1"),
     ],
     ids=[
         "verify_trials",
@@ -353,6 +358,8 @@ BIG_RANK_WORK = {"tree": "(1,2)", "f": 1, "dims": {"1": 1024, "2": 1024}}
         "sample_product",
         "product_work",
         "rank_work",
+        "tree_leaves",
+        "model_tree_leaves",
     ],
 )
 def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
@@ -364,6 +371,8 @@ def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
         "big_product.json": json.dumps(BIG_PRODUCT),
         "big_product_work.json": json.dumps(BIG_PRODUCT_WORK),
         "big_rank_work.json": json.dumps(BIG_RANK_WORK),
+        "cat21846.txt": CAT21846,
+        "cat21846.json": json.dumps({"tree": CAT21846, "f": 1}),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -373,6 +382,12 @@ def test_runaway_inputs_hit_caps(capsys, tmp_path, args):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "exceeds the cap" in captured.err
+
+
+def test_tree_leaf_cap_is_the_hackbusch_cap():
+    from tncuts import cli, trees
+
+    assert cli._MAX_HACKBUSCH_N == trees._MAX_LEAVES == CAT21846.count(",")
 
 
 def test_deep_caterpillar_commands(tmp_path):

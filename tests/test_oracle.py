@@ -35,6 +35,7 @@ from tncuts import (
 )
 from tncuts import fieldmath, oracle
 from tncuts.fieldmath import is_prime, matmul_mod, rank_mod, validate_prime
+from tncuts.models import _cut_bound
 from tncuts.rng import derive_seed, mix64
 from tncuts.trees import EdgeId
 
@@ -543,6 +544,48 @@ def test_flattening_rank_sampled_cat4():
         flattening_rank(t, {9})
 
 
+def test_flattening_rank_zero_length_axes():
+    # a zero-length axis on either side leaves no rows or no columns
+    p = DEFAULT_PRIME
+    for shape in [(0, 3), (3, 0), (2, 0, 3), (0, 0)]:
+        t = DenseTensor(np.zeros(shape, dtype=np.int64), p)
+        for bits in range(1 << len(shape)):
+            assert flattening_rank(t, {i + 1 for i in range(len(shape)) if bits >> i & 1}) == 0, (shape, bits)
+
+
+def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
+    """Every flattening of seeded tensors on 2-7 leaves, then the
+    delayed-reduction bound matrices as 2-axis tensors at {1} and {2}."""
+    rng = CounterRng(p)
+    cases = []
+    for n in range(2, 8):
+        tree = random_binary_tree(n, rng=rng)
+        for r in (2, 3):
+            dims = {lab: 2 + (lab + r) % 2 for lab in range(1, n + 1)}
+            t = sample_tns_tensor(TnsModel.constant(tree, r, dims=dims), seed=n, p=p)
+            cases += [(t, {i + 1 for i in range(n) if bits >> i & 1}) for bits in range(1, (1 << n) - 1)]
+    for mat in (_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)):
+        mat.flags.writeable = False
+        t = DenseTensor(mat, p)
+        cases += [(t, {1}), (t, {2})]
+    return cases
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003, 2147483629])
+def test_flattening_rank_matches_reference(p):
+    for t, a in _flattening_corpus(p):
+        before = t.data.copy()
+        rows = [i for i in range(t.n) if i + 1 in a]
+        cols = [i for i in range(t.n) if i + 1 not in a]
+        mat = np.transpose(t.data, rows + cols).reshape(int(np.prod([t.shape[i] for i in rows])), -1)
+        assert flattening_rank(t, a) == reference_rank(mat, p), (t.shape, a)
+        assert np.array_equal(t.data, before) and not t.data.flags.writeable  # the tensor is left as it was
+    wide = DenseTensor(np.broadcast_to(np.int64(0), (512, fieldmath.RANK_WORK_CAP // 512**2 + 1)), p)
+    for a in ({1}, {2}):
+        with pytest.raises(SizeCapError, match="multiply-adds exceeds the cap"):
+            flattening_rank(wide, a)
+
+
 def test_estimate_generic_rank_examples():
     assert estimate_generic_rank(TnsModel.constant(CAT4, 2), {1, 3}, trials=3, seed=0) == 4
     m12 = TnsModel.constant(EX12, 2)
@@ -570,6 +613,24 @@ def test_estimate_generic_rank_error_contract(monkeypatch):
     monkeypatch.setattr(CounterRng, "residues", no_draws)
     with pytest.raises(SizeCapError):
         estimate_generic_rank(TnsModel.constant(build_train_track(65), 1), {1})
+
+
+def test_estimate_clamps_bonds_once(monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("_clamped_bonds", "_sample"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    real_bound = oracle._cheapest_cut
+    monkeypatch.setattr(oracle, "_cheapest_cut", lambda tree, amask, bonds: real_bound(tree, amask, bonds) + 1)
+    # a bound no trial meets: one clamping serves the bound and all three samples
+    assert estimate_generic_rank(TnsModel.constant(EX12, 2), {1, 4, 8, 9, 11, 12}, trials=3, seed=0) == 32
+    assert calls == ["_clamped_bonds"] + ["_sample"] * 3
 
 
 def test_check_membership_examples():
@@ -682,7 +743,7 @@ def test_cut_bound_is_the_optimalised_cut():
             amask = rng.randbelow(1 << n)
             a = tree.labels_of_mask(amask)
             want = min_product_cut(tree, a, opt_f).product
-            assert oracle._cut_bound(model, amask) == want, (tree.serialize(), f, dims, a)
+            assert _cut_bound(model, amask) == want, (tree.serialize(), f, dims, a)
 
 
 def trial_tensors(model, trials, seed):
@@ -694,8 +755,8 @@ def bound_shift(request, monkeypatch):
     # A wrong bound must not change the result: trial 0 misses it, so every
     # trial runs and the cut side stays cross-checked by the samples.
     if request.param:
-        real = oracle._cut_bound
-        monkeypatch.setattr(oracle, "_cut_bound", lambda model, labels: real(model, labels) + request.param)
+        real = oracle._cheapest_cut
+        monkeypatch.setattr(oracle, "_cheapest_cut", lambda tree, amask, bonds: real(tree, amask, bonds) + request.param)
     return request.param
 
 
@@ -733,14 +794,14 @@ def test_early_stop_matches_all_trials_random_models(bound_shift):
 @pytest.mark.parametrize("shift, samples", [(0, 1), (1, 3)])
 def test_early_stop_draws_one_sample_at_the_bound(monkeypatch, shift, samples):
     calls = []
-    real_sample, real_bound = oracle.sample_tns_tensor, oracle._cut_bound
+    real_sample, real_bound = oracle._sample, oracle._cheapest_cut
 
     def counted(*args):
         calls.append(args)
         return real_sample(*args)
 
-    monkeypatch.setattr(oracle, "sample_tns_tensor", counted)
-    monkeypatch.setattr(oracle, "_cut_bound", lambda model, labels: real_bound(model, labels) + shift)
+    monkeypatch.setattr(oracle, "_sample", counted)
+    monkeypatch.setattr(oracle, "_cheapest_cut", lambda tree, amask, bonds: real_bound(tree, amask, bonds) + shift)
     m12 = TnsModel.constant(EX12, 2)
     for model, a, want in [(TnsModel.constant(CAT4, 2), {1, 3}, 4), (m12, {1, 4, 8, 9, 11, 12}, 32), (m12, set(), 1)]:
         calls.clear()

@@ -67,8 +67,30 @@ def test_every_public_name_resolves_to_its_definition():
         tncuts.no_such_name
 
 
+def _functions(path: Path) -> list[ast.FunctionDef]:
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.FunctionDef)]
+
+
+def _is_pivot_inverse(node: ast.AST) -> bool:
+    """``pow(x, -1, p)``: the modular inverse an elimination takes of each pivot."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "pow"
+        and len(node.args) == 3
+        and ast.unparse(node.args[1]) == "-1"
+    )
+
+
 def test_one_rank_kernel():
     assert tncuts.active_backend() == "pure"
+    # one elimination loop, which both entry points call
+    functions = {f"{path.stem}.{fn.name}": fn for path in sorted(PACKAGE.rglob("*.py")) for fn in _functions(path)}
+    inverters = [name for name, fn in functions.items() if any(_is_pivot_inverse(sub) for sub in ast.walk(fn))]
+    assert inverters == ["fieldmath._eliminate"]
+    for entry in ("fieldmath.rank_mod", "oracle.flattening_rank"):
+        called = {_called_name(sub.func) for sub in ast.walk(functions[entry]) if isinstance(sub, ast.Call)}
+        assert "_eliminate" in called, entry
 
 
 def _called_name(func: ast.expr) -> str | None:

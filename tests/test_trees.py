@@ -23,6 +23,7 @@ from tncuts import (
     relabel,
     tree_shapes,
 )
+from tncuts import SizeCapError, trees
 from tncuts.trees import _shape_signature
 
 CAT4 = "((1,2),(3,4))"
@@ -66,6 +67,14 @@ def test_parse_single_leaf_rejected():
 def test_parse_bad_labels(text):
     with pytest.raises(ValueError):
         parse_tree(text)
+
+
+def test_parse_refuses_trees_above_the_leaf_cap(monkeypatch):
+    monkeypatch.setattr(trees, "_MAX_LEAVES", 4)
+    assert parse_tree(CAT4).n == 4
+    for text in ("(((1,2),(3,4)),5)", "((1,2),(3,4),5)"):  # counted by commas, before parsing
+        with pytest.raises(SizeCapError, match="a tree of 5 leaves exceeds the cap of 4"):
+            parse_tree(text)
 
 
 def test_edge_counts():
