@@ -214,24 +214,16 @@ def _clamped_bonds(model: TnsModel) -> list[int]:
     return bonds
 
 
-def _cut_bound(model: TnsModel, amask: int) -> int:
-    """Cheapest monochromatic cut product for the leaf mask over the clamped bonds.
-
-    Every tensor of the model has flattening rank at most this.  Cutting the
-    leaf edges of A, or of its complement, shows that it is at most
-    min(rows, cols) as well.
-    """
-    return _cheapest_cut(model.tree, amask, _clamped_bonds(model))
-
-
 def generic_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:
     """Flattening rank of a generic tensor of the model at the leaf subset ``a``.
 
-    Always exact: the value is ``_cut_bound``, the cheapest monochromatic
-    cut over the bonds clamped at the leaves, and the witness is a cut
-    attaining it.  No tensor of the model has a larger rank there, and a
-    generic one attains it: the paper's main result, an algorithm for the
-    generic flattening rank at any flattening.  Generic means outside a
+    Always exact: the value is the cheapest monochromatic cut over the
+    bonds clamped at the leaves (``_clamped_bonds``), and the witness is a
+    cut attaining it.  No tensor of the model has a larger rank there
+    (cutting the leaf edges of A, or of its complement, keeps the value
+    within min(rows, cols) as well), and a generic one attains it: the
+    paper's main result, an algorithm for the generic flattening rank at
+    any flattening.  Generic means outside a
     proper algebraic subset of the cores over an infinite field; the exact
     oracle (``estimate_generic_rank``) draws random cores over GF(p)
     instead, and acceptance criterion 13 checks that it meets this value.
@@ -245,9 +237,9 @@ def generic_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:
 def optimalize(model: TnsModel) -> TnsModel:
     """Smallest pointwise bond function defining the same set of tensors.
 
-    Edge e gets h(e) = ``_cut_bound`` of its own bipartition, the cheapest
-    cut over the bonds g clamped at the leaves.  h is the fixed point f* of
-    clamping each edge by its bipartition's cheapest cut and by the
+    Edge e gets h(e), its own bipartition's cheapest cut over the bonds g
+    clamped at the leaves (``generic_rank`` there).  h is the fixed point
+    f* of clamping each edge by its bipartition's cheapest cut and by the
     dimension products of its two sides:
 
     - f* >= h: clamping keeps f >= h.  Cutting e alone, or the leaf edges
@@ -281,7 +273,7 @@ class ComparisonReport(NamedTuple):
     Each edge's ``required`` bond is the largest flattening rank of the
     first model's tensors at the leaf set that the edge cuts off: the
     cheapest cut over the first model's bonds clamped at the leaves
-    (``_cut_bound``), which its generic tensors attain.  Every tensor of
+    (``generic_rank``), which its generic tensors attain.  Every tensor of
     the second model has rank at most ``actual`` there, so a failing edge
     is a proof of non-inclusion.  The test is exact: a tensor lies in a
     tree model exactly when each edge's flattening rank is at most that
@@ -308,7 +300,7 @@ class ComparisonReport(NamedTuple):
 def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
     """Decide, edge by edge, whether m2 contains every tensor of m1.
 
-    For each edge of m2's tree the required bond is ``_cut_bound`` of m1
+    For each edge of m2's tree the required bond is m1's ``generic_rank``
     at the leaf subset that the edge cuts out of m2: m1's cheapest cut over
     its bonds clamped by the leaf dimensions, not over its raw f, which can
     exceed what the dimensions allow.  m1's generic tensor attains every
@@ -320,7 +312,7 @@ def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
         raise ValueError("models must share the same leaf set")
     if m1.dims != m2.dims:
         raise ValueError("models must have identical leaf dimensions")
-    bonds = _clamped_bonds(m1)  # _cut_bound(m1, side), with the bonds clamped once
+    bonds = _clamped_bonds(m1)
     checks = []
     for eid, side in zip(m2.tree.edges(), m2.tree._edge_sides):
         required = _cheapest_cut(m1.tree, side, bonds)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .cuts import _cheapest_cut
 from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, _eliminate, _rank_buffer, matmul_mod, validate_prime
-from .fieldmath import rank_mod  # noqa: F401  (unused; perfbench's tracer patches it in every module)
 from .models import TnsModel, _clamped_bonds, _Frozen
 from .rng import CounterRng, derive_seed
 from .trees import Tree
@@ -39,7 +38,11 @@ _MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
 class DenseTensor(_Frozen):
     """Dense multi-index array over GF(p), axes ordered by leaf label.
 
-    Its fields cannot be reassigned, and it is equal only to itself.
+    Its fields cannot be reassigned, and it is equal only to itself.  The
+    entries are checked to lie in [0, p) once, here, and ``data`` is a
+    read-only view of the given array, which the caller must not change
+    afterwards either: ``flattening_rank`` relies on the check and does
+    not reduce the entries again.
     """
 
     __slots__ = ("data", "p")
@@ -49,6 +52,8 @@ class DenseTensor(_Frozen):
             raise ValueError("tensor entries must be int64 residues")
         if data.size and (data.min() < 0 or data.max() >= p):
             raise ValueError("tensor entries must lie in [0, p)")
+        data = data.view()
+        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "p", p)
 
@@ -161,9 +166,7 @@ def _draw(tree: Tree, bonds: list[int], dims: tuple[int, ...], seed: int, p: int
         subtree[v] = (matmul_mod(arr, m2, p).reshape(len(core), -1), l1 + l2)
     arr, labels = subtree.pop(tree._children[0][0][0])
     data = matmul_mod(leaf_mats[0], arr, p).reshape([dims[lab - 1] for lab in [1] + labels])
-    data = np.ascontiguousarray(np.transpose(data, np.argsort([1] + labels)))
-    data.flags.writeable = False
-    return DenseTensor(data, p)
+    return DenseTensor(np.ascontiguousarray(np.transpose(data, np.argsort([1] + labels))), p)
 
 
 def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
@@ -172,8 +175,9 @@ def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
     Both sides are sized from the tensor's shape, and the shorter one
     becomes the rows (the rank is the same on the transpose).  The
     flattening is then one copy, straight from the transposed tensor into
-    the buffer that ``_eliminate`` works on in place: the entries already
-    lie in [0, p), so nothing is reduced, and the tensor is left as it was.
+    the buffer that ``_eliminate`` works on in place: ``DenseTensor``
+    checked that the entries lie in [0, p), so nothing is reduced, and the
+    tensor is left as it was.
     A zero-length axis on either side gives rank 0.  More than
     RANK_WORK_CAP multiply-adds raise SizeCapError before the copy.
     """
@@ -213,7 +217,6 @@ def estimate_generic_rank(
         raise ValueError("need at least one trial")
     labels = frozenset(a)
     bonds = _clamped_bonds(model)
-    # _cut_bound, with the bonds clamped once for it and every sample.
     # Exact equality: a wrong bound that no trial meets runs every trial.
     bound = _cheapest_cut(model.tree, model.tree.mask_of(labels), bonds)
     best = 0

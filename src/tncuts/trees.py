@@ -345,14 +345,20 @@ def parse_tree(text: str) -> Tree:
     the position.  The implied degree-2 root is suppressed, so the result
     is unrooted and the root edge survives as an ordinary edge.  A text
     with more than ``_MAX_LEAVES`` leaves, counted as one more than its
-    commas, raises SizeCapError before anything is built.
+    commas, raises SizeCapError before anything is built; the builders
+    below, which make their own text, have no such cap.
     """
-    s = "".join(text.split())
-    leaves = s.count(",") + 1
+    leaves = text.count(",") + 1
     if leaves > _MAX_LEAVES:
         from .fieldmath import SizeCapError
 
         raise SizeCapError(f"a tree of {leaves} leaves exceeds the cap of {_MAX_LEAVES}")
+    return _parse_tree(text)
+
+
+def _parse_tree(text: str) -> Tree:
+    """``parse_tree`` without the leaf cap."""
+    s = "".join(text.split())
     adj: dict[int, set[int]] = {}
     labels: dict[int, int] = {}
     stack: list[int | str] = []   # "(", "," and the vertices of finished subtrees
@@ -386,7 +392,7 @@ def build_train_track(n: int) -> Tree:
     """Caterpillar tree: every prefix {1..j} is an edge split."""
     if n < 2:
         raise ValueError("need at least 2 leaves")
-    return parse_tree("(" * (n - 1) + "1," + "),".join(map(str, range(2, n + 1))) + ")")
+    return _parse_tree("(" * (n - 1) + "1," + "),".join(map(str, range(2, n + 1))) + ")")
 
 
 def build_almost_perfect_binary(n: int) -> Tree:
@@ -403,7 +409,7 @@ def build_almost_perfect_binary(n: int) -> Tree:
     row = [f"({2 * i - 1},{2 * i})" if i <= extra else str(i + extra) for i in range(1, base + 1)]
     while len(row) > 1:  # pair the row of subtree expressions, bottom up
         row = [f"({left},{right})" for left, right in zip(row[::2], row[1::2])]
-    return parse_tree(row[0])
+    return _parse_tree(row[0])
 
 
 def _adjacency(ends: Iterable[tuple[int, int]]) -> dict[int, set[int]]:

@@ -30,7 +30,8 @@ from tncuts import (
     verify_colour_cut,
     verify_mono_cut,
 )
-from tncuts.models import _cut_bound
+from tncuts.cuts import _cheapest_cut
+from tncuts.models import _clamped_bonds
 
 CAT4 = parse_tree("((1,2),(3,4))")
 EX12 = parse_tree("((((1,2),3),((4,5),6)),(((7,8),9),((10,11),12)))")
@@ -65,7 +66,7 @@ def test_empty_and_full_subsets():
             for a in (set(), tree.leaves):
                 assert min_mono_cut(tree, a) == (0, frozenset()), tree.serialize()
                 assert min_product_cut(tree, a, f) == (1, frozenset()), tree.serialize()
-                assert _cut_bound(model, tree.mask_of(a)) == 1
+                assert _cheapest_cut(tree, tree.mask_of(a), _clamped_bonds(model)) == 1
                 assert generic_rank(model, a).value == 1
 
 

@@ -32,7 +32,8 @@ from tncuts import (
     tree_shapes,
     verify_mono_cut,
 )
-from tncuts.models import _clamped_bonds, _cut_bound
+from tncuts.cuts import _cheapest_cut
+from tncuts.models import _clamped_bonds
 
 CAT4 = parse_tree("((1,2),(3,4))")
 EX12 = parse_tree("((((1,2),3),((4,5),6)),(((7,8),9),((10,11),12)))")
@@ -103,7 +104,7 @@ def test_generic_rank_is_the_clamped_bond_cut():
         bits = rng.randbelow(1 << m.tree.n)
         a = m.tree.labels_of_mask(bits)
         got = generic_rank(m, a)
-        assert got.exact and got.value == _cut_bound(m, bits)
+        assert got.exact and got.value == _cheapest_cut(m.tree, bits, _clamped_bonds(m))
         assert verify_mono_cut(m.tree, a, got.witness)
         product = 1
         for e in got.witness:

@@ -35,7 +35,8 @@ from tncuts import (
 )
 from tncuts import fieldmath, oracle
 from tncuts.fieldmath import is_prime, matmul_mod, rank_mod, validate_prime
-from tncuts.models import _cut_bound
+from tncuts.cuts import _cheapest_cut
+from tncuts.models import _clamped_bonds
 from tncuts.rng import derive_seed, mix64
 from tncuts.trees import EdgeId
 
@@ -454,6 +455,15 @@ def test_sampled_tensors_are_read_only():
             t.data.fill(0)
 
 
+def test_dense_tensor_data_is_read_only():
+    # checked once for [0, p), which flattening_rank relies on
+    e = np.zeros((2, 2), dtype=np.int64)
+    t = DenseTensor(e, DEFAULT_PRIME)
+    with pytest.raises(ValueError):
+        t.data[0, 0] = -1
+    assert e.flags.writeable and flattening_rank(t, {1}) == 0  # the given array stays writable
+
+
 def test_sample_memo_stays_within_its_budget():
     budget = oracle._SAMPLE_MEMO_BYTES
     # 2^17 entries of 8 bytes each: one MiB a tensor, a quarter of the budget
@@ -743,7 +753,7 @@ def test_cut_bound_is_the_optimalised_cut():
             amask = rng.randbelow(1 << n)
             a = tree.labels_of_mask(amask)
             want = min_product_cut(tree, a, opt_f).product
-            assert _cut_bound(model, amask) == want, (tree.serialize(), f, dims, a)
+            assert _cheapest_cut(tree, amask, _clamped_bonds(model)) == want, (tree.serialize(), f, dims, a)
 
 
 def trial_tensors(model, trials, seed):

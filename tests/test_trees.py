@@ -75,6 +75,8 @@ def test_parse_refuses_trees_above_the_leaf_cap(monkeypatch):
     for text in ("(((1,2),(3,4)),5)", "((1,2),(3,4),5)"):  # counted by commas, before parsing
         with pytest.raises(SizeCapError, match="a tree of 5 leaves exceeds the cap of 4"):
             parse_tree(text)
+    # the cap is on tree texts; the builders make their own and have none
+    assert build_train_track(5).n == build_almost_perfect_binary(5).n == 5
 
 
 def test_edge_counts():
