@@ -13,11 +13,22 @@ silently, so both refuse it with ValueError.  Each kernel also refuses
 more multiply-adds than a fixed work cap with SizeCapError.  The kernels
 import numpy on first call: it takes longer to load than the rest of the
 package, and only ``verify`` among the CLI commands needs it.
+
+A wide matrix of full row rank costs about what an m x 2m one does.  When
+k >= 4m and k is above the width crossover _WIDE, ``_eliminate`` first
+eliminates a copy of 2m spread-out columns: if that sample has rank m,
+so has the matrix, since its rank is at most m and its columns include
+the sample's.  Only a sample of lower rank leads to the full elimination.
+In either kernel a reduction of more than _WIDE entries is made as
+x - (x // p) * p, and a row that wide is searched for its pivot with
+argmax: numpy runs these faster at that size, and the remainder and
+nonzero faster below it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, sqrt
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -29,10 +40,20 @@ DEFAULT_PRIME = MAX_PRIME
 SIZE_CAP = 1 << 24
 # Multiply-adds a kernel may take on: rank_mod counts m * k * min(m, k) for
 # an m x k input, matmul_mod counts m * k * n.  At the cap, on a 2-vCPU x86
-# VM: elimination 0.6 s on 812 x 812 and 1.6 s on 32 x 2^19 (the widest
-# flattening of a 2^24-entry tensor), products 1.4-1.8 s.
+# VM (numpy 2.4): elimination 0.36 s on 812 x 812; on 32 x 2^19 (the widest
+# flattening of a 2^24-entry tensor) 0.05 s at rank 32, which the column
+# sample certifies, and 0.53-0.57 s at rank 31; products 0.58 s on 812^3
+# and 0.8-0.9 s on 4096 x 32 x 4096.
 RANK_WORK_CAP = 1 << 29
 MATMUL_WORK_CAP = 1 << 29
+# Size, in uint64 entries, above which the wide forms of ``_reduce`` and
+# ``_pivot`` are the faster ones, and ``_eliminate`` tries a column sample
+# of a matrix at least four times wider than tall.  On a 2-vCPU x86 VM (numpy 2.4) both
+# pairs meet at about 400: the remainder took 1.05 / 1.42 / 17.2 us at
+# 243 / 400 / 6561 entries against 1.37 / 1.43 / 5.6 us for x - x // q * q,
+# and nonzero 0.63 / 0.87 / 9.5 us against 0.85 / 0.84 / 1.8 us for argmax
+# (one nonzero entry, the last).
+_WIDE = 400
 
 
 class SizeCapError(RuntimeError):
@@ -130,36 +151,96 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     unreduced, so a row with updates pending is reduced in place before the
     nonzero search (an unreduced multiple of p is a zero), and the pivot
     column before it is multiplied.
+
+    A wide input, k >= 4m and k > _WIDE, is first certified on a copy of
+    2m of its columns (``_sample_columns``), eliminated the same way: a
+    sample of rank m proves rank m, since the rank is at most m and the
+    sample's columns are columns of ``a``.  The sample is given up at its
+    first dependent row, and ``a``, untouched so far, is eliminated in
+    full.  Every reduction, of a row or of the rows below, goes through
+    ``_reduce``, and every pivot search through ``_pivot``: each takes its
+    wide form above _WIDE entries.
     """
     import numpy as np
     m, k = a.shape
     q = np.uint64(p)
-    rank = updates = 0
-    lo = k  # leftmost column updated since the last reduction
-    for i in range(m):
-        row = a[i]
-        if updates:
-            row[lo:] %= q
-        nz = row.nonzero()[0]
-        if nz.size == 0:
-            continue
-        rank += 1
-        if i + 1 == m:
+    wide = k >= 4 * m and k > _WIDE
+    for b in (a[:, _sample_columns(m, k)], a) if wide else (a,):
+        w = b.shape[1]
+        rank = updates = 0
+        lo = w  # leftmost column updated since the last reduction
+        for i in range(m):
+            row = b[i]
+            if updates:
+                _reduce(row[lo:], q)
+            j = _pivot(row)
+            if j < 0:
+                if b is a:
+                    continue
+                break  # a dependent row: the sample's rank is below m
+            rank += 1
+            if i + 1 == m:
+                break
+            below = b[i + 1 :, j:]
+            # a Python int factor: numpy converts it faster than np.uint64 makes one
+            neg = below[:, 0] % q * (p - pow(int(row[j]), -1, p))
+            neg %= q
+            below += neg[:, None] * row[j:]
+            lo = min(lo, j)
+            updates += 1
+            if updates == 4:
+                _reduce(b[i + 1 :, lo:], q)
+                updates, lo = 0, w
+        if rank == m:
             break
-        j = int(nz[0])
-        below = a[i + 1 :, j:]
-        neg = below[:, 0] % q * np.uint64(p - pow(int(row[j]), -1, p))
-        neg %= q
-        below += neg[:, None] * row[j:]
-        lo = min(lo, j)
-        updates += 1
-        if updates == 4:
-            below = a[i + 1 :, lo:]
-            # x - (x // p) * p: numpy vectorises integer division by a
-            # scalar, but not the remainder
-            below -= below // q * q
-            updates, lo = 0, k
     return rank
+
+
+def _reduce(x: np.ndarray, q: int | np.uint64) -> None:
+    """Reduce the uint64 array ``x`` mod q in place.
+
+    q is a numpy uint64, or the Python int p from ``matmul_mod``, whose
+    reductions are mostly small and one per call: numpy's remainder
+    converts an int in about 0.1 us, half what making a uint64 takes.  Its
+    integer division by an int is slower than by a uint64, so the wide
+    form converts q first.
+    """
+    if x.size > _WIDE:
+        import numpy as np
+        q = np.uint64(q)
+        # numpy vectorises integer division by a scalar, but not the remainder
+        x -= x // q * q
+    else:
+        x %= q
+
+
+def _pivot(row: np.ndarray) -> int:
+    """Column of the first nonzero entry of a reduced row, -1 if there is none."""
+    if row.size > _WIDE:
+        nz = row != 0
+        j = int(nz.argmax())
+        return j if nz[j] else -1
+    nz = row.nonzero()[0]
+    return int(nz[0]) if nz.size else -1
+
+
+def _sample_columns(m: int, k: int) -> np.ndarray:
+    """The 2m column indices i * s mod k, i < 2m, that ``_eliminate``
+    certifies a wide (m, k) array on.
+
+    The stride s is the first integer from k(sqrt(5) - 1)/2 up that is
+    coprime to k, so the indices are distinct (2m <= k) and spread over
+    [0, k) like a golden-ratio sequence.  Read as the multi-indices of a
+    flattening's column axes, they vary the leading axes as well as the
+    trailing ones, where a stride of 1 would fix the leading axes and one
+    sharing a factor with k a trailing one.  Columns that all fix an axis
+    are a slice of the tensor, whose rank can be lower.
+    """
+    import numpy as np
+    s = round(k * (sqrt(5) - 1) / 2)
+    while gcd(s, k) != 1:
+        s += 1
+    return np.arange(2 * m, dtype=np.int64) * s % k
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -185,8 +266,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     _check_work("product", m * k * n, MATMUL_WORK_CAP)
     a, b = a.view(np.uint64), b.view(np.uint64)
     out = a[:, :4] @ b[:4]
-    out %= p
+    _reduce(out, p)
     for i in range(4, k, 4):
         out += a[:, i : i + 4] @ b[i : i + 4]
-        out %= p
+        _reduce(out, p)
     return out.view(np.int64)

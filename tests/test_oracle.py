@@ -234,6 +234,36 @@ def _rank_corpus(p: int) -> list[np.ndarray]:
         np.asfortranarray(frozen),  # Fortran order
         frozen[1::3, ::2],  # strided slice
     ]
+    wide = _wide_corpus(p, rng)
+    return mats + wide + [wide[0].T, wide[-1].T]
+
+
+def _wide_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Matrices at least four times wider than tall and wider than
+    ``fieldmath._WIDE``: the column-sample certificate, its fallback, and
+    the wide-row reduction and pivot search with updates pending."""
+    w = fieldmath._WIDE
+    mats = []
+    for m, k, r in [(5, w, 5), (5, w + 1, 5), (9, 1000, 9), (8, w + 1, 3), (12, 900, 5), (1, w + 1, 1)]:
+        x = rng.integers(0, p, size=(m, r), dtype=np.int64)
+        y = rng.integers(0, p, size=(r, k), dtype=np.int64)
+        mats.append(matmul_mod(x, y, p))  # full row rank if r == m, else rank at most r
+    for m in (1, 6):
+        # full row rank, but every sampled column is zero: only the fallback
+        # to the whole matrix finds rank m
+        hidden = rng.integers(0, p, size=(m, 900), dtype=np.int64)
+        hidden[:, fieldmath._sample_columns(m, 900)] = 0
+        mats.append(hidden)
+    mats += [np.zeros((0, w + 1), dtype=np.int64), np.zeros((1, w + 1), dtype=np.int64)]
+    # entries p - 1, and seven pivots: the first dependent row, wider than
+    # _WIDE, is reached with three updates of (p - 1)^2 pending, from the
+    # first pivot column of those three (here not the last pivot's column);
+    # a full-row-rank triangle of p - 1
+    mats += [
+        _at_the_bound(p, list(range(7)), 2 * w),
+        _at_the_bound(p, [0, 1, 2, w - 1, 3, 4, 5], w + 1),
+        np.triu(np.full((12, w + 1), p - 1, dtype=np.int64)),
+    ]
     return mats
 
 
@@ -243,6 +273,20 @@ def test_rank_mod_matches_reference(p):
         before = mat.copy()
         assert rank_mod(mat, p) == reference_rank(mat, p), mat.shape
         assert np.array_equal(mat, before)  # the caller's array is left as it was
+
+
+@pytest.mark.parametrize("dims", [(3,) * 8, (2,) * 9, (2, 3, 3, 2, 3, 2, 3)], ids=["3^8", "2^9", "mixed"])
+def test_sample_columns_take_every_value_of_every_axis(dims):
+    # A wide flattening's columns run over several leaf axes.  Its 2m
+    # certificate columns must take every value of each, or the sample is a
+    # slice of the tensor that can miss the rank: a stride of 1 fixes the
+    # leading axes, one sharing a factor with k the trailing ones.
+    k = int(np.prod(dims))
+    for m in range(6, k // 4 + 1):
+        idx = fieldmath._sample_columns(m, k)
+        assert len(set(idx.tolist())) == 2 * m and 0 <= idx.min() and idx.max() < k, m
+        for axis, size in zip(np.unravel_index(idx, dims), dims):
+            assert np.bincount(axis, minlength=size).all(), (m, dims)
 
 
 def test_kernels_refuse_work_above_the_cap():
@@ -564,8 +608,9 @@ def test_flattening_rank_zero_length_axes():
 
 
 def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
-    """Every flattening of seeded tensors on 2-7 leaves, then the
-    delayed-reduction bound matrices as 2-axis tensors at {1} and {2}."""
+    """Every flattening of seeded tensors on 2-7 leaves, the one-leaf
+    flattenings of two wide 7-leaf tensors, then the delayed-reduction bound
+    matrices and the wide corpus as 2-axis tensors at {1} and {2}."""
     rng = CounterRng(p)
     cases = []
     for n in range(2, 8):
@@ -574,7 +619,14 @@ def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
             dims = {lab: 2 + (lab + r) % 2 for lab in range(1, n + 1)}
             t = sample_tns_tensor(TnsModel.constant(tree, r, dims=dims), seed=n, p=p)
             cases += [(t, {i + 1 for i in range(n) if bits >> i & 1}) for bits in range(1, (1 << n) - 1)]
-    for mat in (_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)):
+    # wide flattenings of 7-leaf tensors with leaf dimension 3 at one leaf,
+    # 3 x 729: full row rank at bond 3, rank 2 at bond 2
+    for r in (2, 3):
+        tree = random_binary_tree(7, rng=rng)
+        t = sample_tns_tensor(TnsModel.constant(tree, r, dims={lab: 3 for lab in range(1, 8)}), seed=r, p=p)
+        cases += [(t, {lab}) for lab in range(1, 8)]
+    wide = _wide_corpus(p, np.random.default_rng(p))
+    for mat in [_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)] + wide:
         mat.flags.writeable = False
         t = DenseTensor(mat, p)
         cases += [(t, {1}), (t, {2})]
@@ -587,7 +639,8 @@ def test_flattening_rank_matches_reference(p):
         before = t.data.copy()
         rows = [i for i in range(t.n) if i + 1 in a]
         cols = [i for i in range(t.n) if i + 1 not in a]
-        mat = np.transpose(t.data, rows + cols).reshape(int(np.prod([t.shape[i] for i in rows])), -1)
+        shape = [int(np.prod([t.shape[i] for i in side])) for side in (rows, cols)]
+        mat = np.transpose(t.data, rows + cols).reshape(shape)
         assert flattening_rank(t, a) == reference_rank(mat, p), (t.shape, a)
         assert np.array_equal(t.data, before) and not t.data.flags.writeable  # the tensor is left as it was
     wide = DenseTensor(np.broadcast_to(np.int64(0), (512, fieldmath.RANK_WORK_CAP // 512**2 + 1)), p)
