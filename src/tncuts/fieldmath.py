@@ -14,6 +14,15 @@ more multiply-adds than a fixed work cap with SizeCapError.  The kernels
 import numpy on first call: it takes longer to load than the rest of the
 package, and only ``verify`` among the CLI commands needs it.
 
+A matrix of more than _PANEL = 32 rows is eliminated in panels of that
+many rows, again as in FFLAS-FFPACK: the pivots of a panel are found row
+by row, and the rows after it are then updated by one float64 BLAS
+product.  Its operands are split into 16-bit halves, so every sum in it
+is an integer below 32 * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53 and
+the product is exact whatever the BLAS summation order or thread count.
+A matrix of at most 32 rows, and the last panel of any matrix, takes
+the row-by-row loop alone.
+
 A wide matrix of full row rank costs about what an m x 2m one does.  When
 k >= 4m and k is above the width crossover _WIDE, ``_eliminate`` first
 eliminates a copy of 2m spread-out columns: if that sample has rank m,
@@ -40,10 +49,11 @@ DEFAULT_PRIME = MAX_PRIME
 SIZE_CAP = 1 << 24
 # Multiply-adds a kernel may take on: rank_mod counts m * k * min(m, k) for
 # an m x k input, matmul_mod counts m * k * n.  At the cap, on a 2-vCPU x86
-# VM (numpy 2.4): elimination 0.36 s on 812 x 812; on 32 x 2^19 (the widest
-# flattening of a 2^24-entry tensor) 0.05 s at rank 32, which the column
-# sample certifies, and 0.53-0.57 s at rank 31; products 0.58 s on 812^3
-# and 0.8-0.9 s on 4096 x 32 x 4096.
+# VM (numpy 2.4, OpenBLAS 0.3.31): elimination 0.06 s on 812 x 812, 0.36 s
+# on 64 x 2^17 and 0.21 s on 128 x 2^15 at rank m - 1; on 32 x 2^19 (the
+# widest flattening of a 2^24-entry tensor, one panel) 0.05 s at rank 32,
+# which the column sample certifies, and 0.53-0.54 s at rank 31; products
+# 0.58 s on 812^3 and 0.8-0.9 s on 4096 x 32 x 4096.
 RANK_WORK_CAP = 1 << 29
 MATMUL_WORK_CAP = 1 << 29
 # Size, in uint64 entries, above which the wide forms of ``_reduce`` and
@@ -54,6 +64,10 @@ MATMUL_WORK_CAP = 1 << 29
 # and nonzero 0.63 / 0.87 / 9.5 us against 0.85 / 0.84 / 1.8 us for argmax
 # (one nonzero entry, the last).
 _WIDE = 400
+# Rows per panel of ``_eliminate``.  Its float64 products stay exact while
+# _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53, that is up to 42 rows
+# at p = MAX_PRIME; 32 keeps the row-by-row part of a panel small.
+_PANEL = 32
 
 
 class SizeCapError(RuntimeError):
@@ -113,10 +127,12 @@ def _check_work(name: str, madds: int, cap: int) -> None:
 def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) of any 2-d int64 array; the input is left as it was.
 
-    The shorter side becomes the rows of one reduced uint64 copy, the only
-    copy taken, which ``_eliminate`` then works on in place.  More than
-    RANK_WORK_CAP multiply-adds, counted as m * k * min(m, k) for an m x k
-    input, raise SizeCapError before the copy.
+    The shorter side becomes the rows of one reduced uint64 copy, which
+    ``_eliminate`` then works on in place; beyond it, the elimination takes
+    only temporaries no larger than that copy (a column sample of a wide
+    input, a panel's float64 product).  More than RANK_WORK_CAP
+    multiply-adds, counted as m * k * min(m, k) for an m x k input, raise
+    SizeCapError before the copy.
     """
     import numpy as np
     a = np.asarray(matrix, dtype=np.int64)
@@ -141,23 +157,33 @@ def _rank_buffer(m: int, k: int, p: int) -> np.ndarray:
 def _eliminate(a: np.ndarray, p: int) -> int:
     """Rank of a C-ordered uint64 (m, k) array, m <= k, with entries in [0, p).
 
-    Row elimination in place, top to bottom; ``a`` is overwritten.  A row
-    that reduces to zero depends on the rows above it; otherwise its first
-    nonzero is the pivot, and (p - factor) times the row is added to each
-    row below, so every update is a non-negative product of two residues,
-    at most (p - 1)^2.  The rows below are reduced once every four updates,
-    from the leftmost column those updates touched: an entry is then at
-    most p - 1 + 4(p - 1)^2 < 2^64.  Between reductions the entries are
+    Row elimination in place, top to bottom, in panels of _PANEL rows; ``a``
+    is overwritten.  Within a panel, a row that reduces to zero depends on
+    the rows above it; otherwise its first nonzero is the pivot, and (p -
+    factor) times the row is added to other rows of the panel, so every
+    update is a non-negative product of two residues, at most (p - 1)^2.
+    Those rows are reduced once every four updates, from the leftmost
+    column those updates touched: an entry is then at most
+    p - 1 + 4(p - 1)^2 < 2^64.  Between reductions the entries are
     unreduced, so a row with updates pending is reduced in place before the
     nonzero search (an unreduced multiple of p is a zero), and the pivot
     column before it is multiplied.
+
+    The last panel, and so the whole of a matrix of at most _PANEL rows,
+    updates only the rows below each pivot.  A panel with rows after it
+    updates all its other rows, and scales the pivot row by the inverse of
+    its pivot, so that its pivot rows U end with U[:, piv] = I.  The rows
+    after it, T, are then updated once, T -= T[:, piv] @ U mod p, by one
+    exact float64 product (``_update_float``), and stay in ``a`` as
+    residues.  When they are all zero, the rank is found.
 
     A wide input, k >= 4m and k > _WIDE, is first certified on a copy of
     2m of its columns (``_sample_columns``), eliminated the same way: a
     sample of rank m proves rank m, since the rank is at most m and the
     sample's columns are columns of ``a``.  The sample is given up at its
-    first dependent row, and ``a``, untouched so far, is eliminated in
-    full.  Every reduction, of a row or of the rows below, goes through
+    first dependent row, so a failed sample costs at most one panel more
+    than its pivots, and ``a``, untouched so far, is eliminated in full.
+    Every uint64 reduction, of a row or of the rows below, goes through
     ``_reduce``, and every pivot search through ``_pivot``: each takes its
     wide form above _WIDE entries.
     """
@@ -167,33 +193,105 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     wide = k >= 4 * m and k > _WIDE
     for b in (a[:, _sample_columns(m, k)], a) if wide else (a,):
         w = b.shape[1]
-        rank = updates = 0
-        lo = w  # leftmost column updated since the last reduction
-        for i in range(m):
-            row = b[i]
-            if updates:
-                _reduce(row[lo:], q)
-            j = _pivot(row)
-            if j < 0:
-                if b is a:
-                    continue
-                break  # a dependent row: the sample's rank is below m
-            rank += 1
-            if i + 1 == m:
+        rank = 0
+        for i0 in range(0, m, _PANEL):
+            end = min(i0 + _PANEL, m)
+            tail = end < m
+            pivots = []
+            updates = 0
+            lo = w  # leftmost column updated since the last reduction
+            for i in range(i0, end):
+                row = b[i]
+                if updates:
+                    _reduce(row[lo:], q)
+                j = _pivot(row)
+                if j < 0:
+                    if b is a:
+                        continue
+                    break  # a dependent row: the sample's rank is below m
+                rank += 1
+                if tail:
+                    pivots.append((i, j))
+                    start = i0
+                elif i + 1 == m:
+                    break
+                else:
+                    start = i + 1
+                below = b[start:end, j:]
+                inv = pow(row.item(j), -1, p)
+                # a Python int factor: numpy converts it faster than np.uint64 makes one
+                neg = below[:, 0] % q * (p - inv)
+                neg %= q
+                if tail:
+                    neg[i - i0] = inv - 1  # the pivot row: row + (inv - 1) * row = inv * row
+                below += neg[:, None] * row[j:]
+                if j < lo:
+                    lo = j
+                updates += 1
+                if updates == 4:
+                    _reduce(b[start:end, lo:], q)
+                    updates, lo = 0, w
+            if b is not a and rank < end:
                 break
-            below = b[i + 1 :, j:]
-            # a Python int factor: numpy converts it faster than np.uint64 makes one
-            neg = below[:, 0] % q * (p - pow(int(row[j]), -1, p))
-            neg %= q
-            below += neg[:, None] * row[j:]
-            lo = min(lo, j)
-            updates += 1
-            if updates == 4:
-                _reduce(b[i + 1 :, lo:], q)
-                updates, lo = 0, w
+            if not pivots:  # the last panel, or a zero one: nothing to update
+                continue
+            rows, cols = zip(*pivots)
+            u = b[list(rows)]
+            if updates:
+                _reduce(u[:, lo:], q)
+            c0 = min(cols)  # U is zero left of its first pivot
+            rest = b[end:]
+            _update_float(rest[:, c0:], rest[:, list(cols)], u[:, c0:], p)
+            if not rest.any():
+                break
         if rank == m:
             break
     return rank
+
+
+def _update_float(t: np.ndarray, x: np.ndarray, u: np.ndarray, p: int) -> None:
+    """t = (t - x @ u) mod p in place, exactly, by one float64 product.
+
+    t (n x w), x (n x r) and u (r x w) are uint64 arrays with entries in
+    [0, p), and r <= _PANEL.  With x = x0 + 2^16 x1 (x0 < 2^16, x1 < 2^15)
+    the product is taken as [x0 | x1] @ [(-u) mod p ; (-2^16 u) mod p]:
+    its partial sums, and t plus it, are integers below
+    _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53, so each is a
+    float64, and the BLAS summation order, FMA use and thread count do not
+    change the result.  The sum is reduced (``_reduce_float``) and written
+    back to t.
+    """
+    import numpy as np
+    r = len(u)
+    xs = np.empty((len(x), 2 * r))
+    xs[:, :r] = x & 0xFFFF
+    xs[:, r:] = x >> 16
+    v = np.empty((2 * r, u.shape[1]))
+    v[:r] = u
+    np.negative(v[:r], out=v[:r])
+    np.multiply(v[:r], 1 << 16, out=v[r:])
+    _reduce_float(v, p, np.empty_like(v))
+    s = xs @ v
+    s += t
+    _reduce_float(s, p, t.view(np.float64))  # t is added in: its memory is scratch
+    np.copyto(t, s, casting="unsafe")
+
+
+def _reduce_float(x: np.ndarray, p: int, y: np.ndarray) -> None:
+    """Reduce the float64 array ``x`` of integers below 2^53 in magnitude
+    mod p in place, to [0, p), with ``y``, of x's shape, as scratch.
+
+    x - floor(x / p) * p, with x / p taken as x * (1 / p): its rounding
+    moves the floor by at most one, which one fix-up of p either way
+    corrects.  np.fmod is about 20 times slower.
+    """
+    import numpy as np
+    np.multiply(x, 1 / p, out=y)
+    np.floor(y, out=y)
+    y *= p
+    x -= y
+    np.add(x, p, out=x, where=x < 0)
+    np.subtract(x, p, out=x, where=x >= p)
 
 
 def _reduce(x: np.ndarray, q: int | np.uint64) -> None:

@@ -1,6 +1,9 @@
 """Oracle sampling, exact ranks, membership, and the field kernels."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -235,7 +238,9 @@ def _rank_corpus(p: int) -> list[np.ndarray]:
         frozen[1::3, ::2],  # strided slice
     ]
     wide = _wide_corpus(p, rng)
-    return mats + wide + [wide[0].T, wide[-1].T]
+    panels = _panel_corpus(p, rng)
+    # transposes of the 33-row matrix and of the one with a zero first panel
+    return mats + wide + [wide[0].T, wide[-1].T] + panels + [panels[0].T, panels[5].T]
 
 
 def _wide_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -267,12 +272,142 @@ def _wide_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
     return mats
 
 
+def _panel_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Matrices of more than ``fieldmath._PANEL`` rows: panel boundaries,
+    early stops, the float64 product at its bound, and wide samples that
+    pass or fail across panels."""
+    b = fieldmath._PANEL
+
+    def product(m, k, r):
+        x = rng.integers(0, p, size=(m, r), dtype=np.int64)
+        y = rng.integers(0, p, size=(r, k), dtype=np.int64)
+        return matmul_mod(x, y, p)  # a seeded product of rank at most r
+
+    mats = [product(m, k, r) for m, k, r in [(33, 40, 33), (64, 64, 64), (65, 70, 65), (65, 66, 40), (70, 70, 5)]]
+    # an all-zero first panel: stopping on a panel without pivots, rather
+    # than on zero rows after it, would give rank 0
+    zero_first = np.zeros((b + 8, 40), dtype=np.int64)
+    zero_first[b:] = product(8, 40, 8)
+    mats.append(zero_first)
+    # dependent rows on both sides of the first panel boundary: row b - 1
+    # repeats a row of the second panel, row b + 2 sums rows of both panels
+    straddle = product(50, 60, 50)
+    straddle[b - 1] = straddle[b + 5]
+    straddle[b + 2] = (straddle[3] + straddle[b + 10]) % p
+    mats.append(straddle)
+    # staircases of 40 pivots, in order and with two pivots right of every
+    # free column, one in each panel (see _at_the_bound)
+    mats += [
+        _at_the_bound(p, list(range(40)), 50),
+        _at_the_bound(p, list(range(30)) + [48] + list(range(30, 37)) + [49, 37], 50),
+    ]
+    full = np.full((40, 40), p - 1, dtype=np.int64)
+    mats += [np.triu(full), np.tril(full), np.triu(full)[:, ::-1]]
+    mats.append(_at_the_float_bound(p, b))
+    # wide (k >= 4m, k > _WIDE): full row rank, certified by the sample;
+    # rank-deficient, where the sample fails in its first panel; and one
+    # dependent row in the second panel, where it fails after a product
+    w = fieldmath._WIDE + 1
+    mats += [product(40, w, 40), product(40, w, 20)]
+    late = product(40, w, 40)
+    late[b + 3] = (late[5] + late[b + 1]) % p
+    mats.append(late)
+    # full row rank, but every sampled column is zero
+    hidden = rng.integers(0, p, size=(40, w), dtype=np.int64)
+    hidden[:, fieldmath._sample_columns(40, w)] = 0
+    mats.append(hidden)
+    return mats
+
+
+def _at_the_float_bound(p: int, r: int) -> np.ndarray:
+    """r pivot rows [I | 1], then three rows of p - 1 times their sum; rank r.
+
+    After the first panel of r rows, X = T[:, piv] is all p - 1 and the
+    stacked operand [(-U) mod p ; (-2^16 U) mod p] is p - 1 and p - 2^16
+    at every free column: each sum of ``fieldmath._eliminate``'s float64
+    product is as close to its 2^53 bound as residues allow, and the last
+    rows reduce to zero only if every sum is exact.
+    """
+    top = np.hstack([np.eye(r, dtype=np.int64), np.ones((r, 8), dtype=np.int64)])
+    total = (p - 1) * top.sum(axis=0) % p
+    return np.vstack([top] + [total] * 3)
+
+
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003, 2147483629])
 def test_rank_mod_matches_reference(p):
     for mat in _rank_corpus(p):
         before = mat.copy()
         assert rank_mod(mat, p) == reference_rank(mat, p), mat.shape
         assert np.array_equal(mat, before)  # the caller's array is left as it was
+
+
+def test_panel_products_stay_below_2_53():
+    # the largest sum _eliminate's float64 product can reach: _PANEL terms
+    # of (2^16 - 1 + 2^15 - 1) * (p - 1), plus an entry below p
+    b, p = fieldmath._PANEL, fieldmath.MAX_PRIME
+    assert b * ((1 << 16) - 1 + (1 << 15) - 1) * (p - 1) + p - 1 < 1 << 53
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003, 2147483629])
+def test_reduce_float_matches_python_remainder(p):
+    # k * p + d for d in -1, 0, 1 and k up to the 2^53 bound, where x / p
+    # rounds onto or across an integer and the floor needs its fix-up;
+    # negative x as well, as (-U) mod p takes it
+    top = ((1 << 53) - 2) // p
+    ks = sorted({*range(4), *range(top - 3, top + 1), *np.random.default_rng(p).integers(0, top, 200).tolist()})
+    xs = [0] + [k * p + d for k in ks for d in (-1, 0, 1) if 0 <= k * p + d < 1 << 53]
+    xs += [-x for x in xs if x < 1 << 48]
+    got = np.array(xs, dtype=np.float64)
+    assert got.astype(np.int64).tolist() == xs  # every x is a float64
+    fieldmath._reduce_float(got, p, np.empty_like(got))
+    assert got.astype(np.int64).tolist() == [x % p for x in xs]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003])
+@pytest.mark.parametrize("u_entry", [1, -1], ids=["u=1", "u=p-1"])
+def test_float_update_at_the_bound_matches_matmul_mod(p, u_entry):
+    # t, x all p - 1 and r = _PANEL pivots: with u = 1 the stacked operand
+    # [(-u) mod p ; (-2^16 u) mod p] is p - 1 and p - 2^16, so each sum is
+    # as large as residues make it
+    r, n, w = fieldmath._PANEL, 5, 7
+    u = np.full((r, w), u_entry % p, dtype=np.int64)
+    x = np.full((n, r), p - 1, dtype=np.int64)
+    t = np.full((n, w), p - 1, dtype=np.uint64)
+    want = (p - 1 + matmul_mod(x, (p - u) % p, p)) % p
+    fieldmath._update_float(t, x.view(np.uint64), u.view(np.uint64), p)
+    assert np.array_equal(t.view(np.int64), want)
+
+
+def test_failed_sample_costs_at_most_one_panel(monkeypatch):
+    # A wide sample that fails is given up at its first dependent row, so
+    # it costs at most one panel more than the full elimination; here row
+    # _PANEL - 1 of a 70 x 401 matrix repeats row 0, so the sample stops
+    # after _PANEL pivot searches and the full elimination makes 70
+    b, p = fieldmath._PANEL, DEFAULT_PRIME
+    rng = np.random.default_rng(5)
+    mat = rng.integers(0, p, size=(70, fieldmath._WIDE + 1), dtype=np.int64)
+    mat[b - 1] = mat[0]
+    searches = []
+    pivot = fieldmath._pivot
+    monkeypatch.setattr(fieldmath, "_pivot", lambda row: searches.append(1) or pivot(row))
+    assert rank_mod(mat, p) == 69
+    assert len(searches) == b + 70
+
+
+def test_rank_does_not_depend_on_blas_threads(tmp_path):
+    # the CLI runs with BLAS's default thread count: the float64 products
+    # are exact, so the summation order a thread count picks cannot matter
+    p = DEFAULT_PRIME
+    mat = _known_rank_matrix(np.random.default_rng(3), 243, 243, 100, p)
+    np.save(tmp_path / "mat.npy", mat)
+    code = "import sys, numpy; from tncuts.fieldmath import rank_mod; print(rank_mod(numpy.load(sys.argv[1]), int(sys.argv[2])))"
+    ranks = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mat.npy"), str(p)], capture_output=True, env=env)
+        assert out.returncode == 0, out.stderr.decode()
+        ranks.append(int(out.stdout))
+    assert ranks == [100, 100] == [reference_rank(mat, p)] * 2
 
 
 @pytest.mark.parametrize("dims", [(3,) * 8, (2,) * 9, (2, 3, 3, 2, 3, 2, 3)], ids=["3^8", "2^9", "mixed"])
@@ -610,7 +745,7 @@ def test_flattening_rank_zero_length_axes():
 def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
     """Every flattening of seeded tensors on 2-7 leaves, the one-leaf
     flattenings of two wide 7-leaf tensors, then the delayed-reduction bound
-    matrices and the wide corpus as 2-axis tensors at {1} and {2}."""
+    matrices and the wide and panel corpora as 2-axis tensors at {1} and {2}."""
     rng = CounterRng(p)
     cases = []
     for n in range(2, 8):
@@ -625,8 +760,10 @@ def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
         tree = random_binary_tree(7, rng=rng)
         t = sample_tns_tensor(TnsModel.constant(tree, r, dims={lab: 3 for lab in range(1, 8)}), seed=r, p=p)
         cases += [(t, {lab}) for lab in range(1, 8)]
-    wide = _wide_corpus(p, np.random.default_rng(p))
-    for mat in [_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)] + wide:
+    gen = np.random.default_rng(p)
+    wide = _wide_corpus(p, gen)
+    panels = _panel_corpus(p, gen)
+    for mat in [_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)] + wide + panels:
         mat.flags.writeable = False
         t = DenseTensor(mat, p)
         cases += [(t, {1}), (t, {2})]
