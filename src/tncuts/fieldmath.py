@@ -49,10 +49,10 @@ DEFAULT_PRIME = MAX_PRIME
 SIZE_CAP = 1 << 24
 # Multiply-adds a kernel may take on: rank_mod counts m * k * min(m, k) for
 # an m x k input, matmul_mod counts m * k * n.  At the cap, on a 2-vCPU x86
-# VM (numpy 2.4, OpenBLAS 0.3.31): elimination 0.06 s on 812 x 812, 0.36 s
+# VM (numpy 2.4, OpenBLAS 0.3.31): elimination 0.06 s on 812 x 812, 0.31 s
 # on 64 x 2^17 and 0.21 s on 128 x 2^15 at rank m - 1; on 32 x 2^19 (the
 # widest flattening of a 2^24-entry tensor, one panel) 0.05 s at rank 32,
-# which the column sample certifies, and 0.53-0.54 s at rank 31; products
+# which the column sample certifies, and 0.52-0.54 s at rank 31; products
 # 0.58 s on 812^3 and 0.8-0.9 s on 4096 x 32 x 4096.
 RANK_WORK_CAP = 1 << 29
 MATMUL_WORK_CAP = 1 << 29
@@ -68,6 +68,9 @@ _WIDE = 400
 # _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53, that is up to 42 rows
 # at p = MAX_PRIME; 32 keeps the row-by-row part of a panel small.
 _PANEL = 32
+# Columns per panel update: its float64 temporaries stay near 5 * _PANEL
+# * _CHUNK entries beyond the rows it updates, however wide the matrix.
+_CHUNK = 4096
 
 
 class SizeCapError(RuntimeError):
@@ -128,11 +131,11 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     """Rank over GF(p) of any 2-d int64 array; the input is left as it was.
 
     The shorter side becomes the rows of one reduced uint64 copy, which
-    ``_eliminate`` then works on in place; beyond it, the elimination takes
-    only temporaries no larger than that copy (a column sample of a wide
-    input, a panel's float64 product).  More than RANK_WORK_CAP
-    multiply-adds, counted as m * k * min(m, k) for an m x k input, raise
-    SizeCapError before the copy.
+    ``_eliminate`` then works on in place; its temporaries (a column
+    sample of a wide input, the per-pivot products, a panel's float64
+    update, _CHUNK columns at a time) come to about the size of that copy.
+    More than RANK_WORK_CAP multiply-adds, counted as m * k * min(m, k)
+    for an m x k input, raise SizeCapError before the copy.
     """
     import numpy as np
     a = np.asarray(matrix, dtype=np.int64)
@@ -173,9 +176,9 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     updates only the rows below each pivot.  A panel with rows after it
     updates all its other rows, and scales the pivot row by the inverse of
     its pivot, so that its pivot rows U end with U[:, piv] = I.  The rows
-    after it, T, are then updated once, T -= T[:, piv] @ U mod p, by one
-    exact float64 product (``_update_float``), and stay in ``a`` as
-    residues.  When they are all zero, the rank is found.
+    after it, T, are then updated once, T -= T[:, piv] @ U mod p, by an
+    exact float64 product (``_update_float``) per _CHUNK columns, and stay
+    in ``a`` as residues.  When they are all zero, the rank is found.
 
     A wide input, k >= 4m and k > _WIDE, is first certified on a copy of
     2m of its columns (``_sample_columns``), eliminated the same way: a
@@ -235,13 +238,14 @@ def _eliminate(a: np.ndarray, p: int) -> int:
                 break
             if not pivots:  # the last panel, or a zero one: nothing to update
                 continue
-            rows, cols = zip(*pivots)
-            u = b[list(rows)]
             if updates:
-                _reduce(u[:, lo:], q)
-            c0 = min(cols)  # U is zero left of its first pivot
+                _reduce(b[i0:end, lo:], q)
+            rows, cols = map(list, zip(*pivots))
             rest = b[end:]
-            _update_float(rest[:, c0:], rest[:, list(cols)], u[:, c0:], p)
+            x = rest[:, cols]
+            # U is zero left of its first pivot
+            for c in range(min(cols), w, _CHUNK):
+                _update_float(rest[:, c : c + _CHUNK], x, b[rows, c : c + _CHUNK], p)
             if not rest.any():
                 break
         if rank == m:

@@ -378,6 +378,17 @@ def test_float_update_at_the_bound_matches_matmul_mod(p, u_entry):
     assert np.array_equal(t.view(np.int64), want)
 
 
+def test_panel_update_in_column_chunks(monkeypatch):
+    # a panel's rows after it are updated _CHUNK columns at a time; with
+    # chunks of 5 columns every corpus matrix takes several, and each rank
+    # must be the one test_rank_mod_matches_reference checks
+    p = DEFAULT_PRIME
+    mats = _panel_corpus(p, np.random.default_rng(p))
+    want = [rank_mod(mat, p) for mat in mats]
+    monkeypatch.setattr(fieldmath, "_CHUNK", 5)
+    assert [rank_mod(mat, p) for mat in mats] == want
+
+
 def test_failed_sample_costs_at_most_one_panel(monkeypatch):
     # A wide sample that fails is given up at its first dependent row, so
     # it costs at most one panel more than the full elimination; here row
