@@ -26,7 +26,7 @@ _EXPORTS = {
         "verify_colour_cut",
         "verify_mono_cut",
     ),
-    "fieldmath": ("DEFAULT_PRIME", "SIZE_CAP", "SizeCapError", "active_backend", "rank_mod"),
+    "fieldmath": ("DEFAULT_PRIME", "SIZE_CAP", "active_backend", "rank_mod"),
     "hackbusch": (
         "ExponentResult",
         "LandmarkMismatchError",
@@ -61,6 +61,7 @@ _EXPORTS = {
     "rng": ("CounterRng", "derive_seed"),
     "trees": (
         "EdgeId",
+        "SizeCapError",
         "Tree",
         "TreeParseError",
         "all_binary_trees",

@@ -17,8 +17,10 @@ tensor, drawn block of cores and leaf matrices, and every contraction
 product each hold at most 2^24 entries.
 
 Start-up is most of a process's time, so each handler imports the package
-modules it runs when it is called, and a process compiles only those:
-numpy, for one, loads only for ``verify``.
+modules it runs when it is called, and a process compiles only those and
+``trees``, which every command reads its input with and which defines
+SizeCapError: numpy, for one, loads only for ``verify``, and a refused
+input loads none.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ import sys
 from math import log10
 from typing import Iterable
 
+from .trees import _MAX_LEAVES, SizeCapError, _parse_label, parse_tree
+
 _MAX_TRIALS = 100_000
-_MAX_HACKBUSCH_N = 21845  # the leaf cap of every tree input too (trees._MAX_LEAVES)
+_MAX_HACKBUSCH_N = _MAX_LEAVES  # the leaf cap of every tree input too
 _MAX_PERMSCAN_WORK = 20_000_000  # trials x n^2; 7-13 s at the cap on caterpillars
 
 
@@ -44,15 +48,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_tree(path: str):
-    from .trees import parse_tree
-
     with open(path, "r", encoding="utf-8") as fh:
         return parse_tree(fh.read())
 
 
 def _parse_subset(text: str) -> frozenset[int]:
-    from .trees import _parse_label
-
     text = text.strip()
     if not text:
         return frozenset()
@@ -64,8 +64,6 @@ def _parse_subset(text: str) -> frozenset[int]:
 
 def _check_cap(flag: str, value: int, cap: int) -> None:
     if value > cap:
-        from .fieldmath import SizeCapError
-
         raise SizeCapError(f"{flag} {value} exceeds the cap of {cap}")
 
 
@@ -246,10 +244,9 @@ def _exit_code(exc: Exception) -> int | None:
     # Only a loaded module can have raised its error, so loading none here
     # keeps the error path of a command as light as its success path.
     hackbusch = sys.modules.get(f"{__package__}.hackbusch")
-    fieldmath = sys.modules.get(f"{__package__}.fieldmath")
     if hackbusch and isinstance(exc, hackbusch.LandmarkMismatchError):
         return 2
-    if fieldmath and isinstance(exc, fieldmath.SizeCapError):
+    if isinstance(exc, SizeCapError):
         return 3
     if isinstance(exc, (ValueError, OSError)):  # json.JSONDecodeError is a ValueError
         return 1

@@ -10,15 +10,16 @@ mod p, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): they
 work in uint64 and reduce once per four products of two residues, since
 p - 1 + 4*(p-1)^2 < 2^64 for p <= MAX_PRIME.  A larger p would overflow
 silently, so both refuse it with ValueError.  Each kernel also refuses
-more multiply-adds than a fixed work cap with SizeCapError.  The kernels
-import numpy on first call: it takes longer to load than the rest of the
-package, and only ``verify`` among the CLI commands needs it.
+more multiply-adds than a fixed work cap with SizeCapError.  This module
+imports numpy, which takes longer to load than the rest of the package,
+and only ``verify`` among the CLI commands loads it; SizeCapError lives
+in ``trees``, so a refused input loads neither.
 
 A matrix of more than _PANEL = 32 rows is eliminated in panels of that
 many rows, again as in FFLAS-FFPACK: the pivots of a panel are found row
 by row, and the rows after it are then updated by one float64 BLAS
 product.  Its operands are split into 16-bit halves, so every sum in it
-is an integer below 32 * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53 and
+is an integer below 32 * (2^16 - 1 + 2^15 - 1) * (p - 1) < 2^53 and
 the product is exact whatever the BLAS summation order or thread count.
 A matrix of at most 32 rows, and the last panel of any matrix, takes
 the row-by-row loop alone.
@@ -38,10 +39,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, sqrt
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
+
+from .trees import SizeCapError
 
 MAX_PRIME = (1 << 31) - 1
 MIN_PRIME = 10**6
@@ -65,16 +66,12 @@ MATMUL_WORK_CAP = 1 << 29
 # (one nonzero entry, the last).
 _WIDE = 400
 # Rows per panel of ``_eliminate``.  Its float64 products stay exact while
-# _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53, that is up to 42 rows
+# _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) < 2^53, that is up to 42 rows
 # at p = MAX_PRIME; 32 keeps the row-by-row part of a panel small.
 _PANEL = 32
 # Columns per panel update: its float64 temporaries stay near 5 * _PANEL
 # * _CHUNK entries beyond the rows it updates, however wide the matrix.
 _CHUNK = 4096
-
-
-class SizeCapError(RuntimeError):
-    """An input would exceed a resource cap (the oracle's dense sizes, the CLI's flags)."""
 
 
 def active_backend() -> str:
@@ -137,7 +134,6 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
     More than RANK_WORK_CAP multiply-adds, counted as m * k * min(m, k)
     for an m x k input, raise SizeCapError before the copy.
     """
-    import numpy as np
     a = np.asarray(matrix, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("rank_mod expects a 2-d array")
@@ -151,7 +147,6 @@ def rank_mod(matrix: np.ndarray, p: int) -> int:
 def _rank_buffer(m: int, k: int, p: int) -> np.ndarray:
     """An empty C-ordered uint64 (m, k) array for ``_eliminate``, once p and
     the work m * m * k have passed their caps."""
-    import numpy as np
     _check_modulus(p)
     _check_work("elimination", m * m * k, RANK_WORK_CAP)
     return np.empty((m, k), dtype=np.uint64)
@@ -190,7 +185,6 @@ def _eliminate(a: np.ndarray, p: int) -> int:
     ``_reduce``, and every pivot search through ``_pivot``: each takes its
     wide form above _WIDE entries.
     """
-    import numpy as np
     m, k = a.shape
     q = np.uint64(p)
     wide = k >= 4 * m and k > _WIDE
@@ -258,26 +252,24 @@ def _update_float(t: np.ndarray, x: np.ndarray, u: np.ndarray, p: int) -> None:
 
     t (n x w), x (n x r) and u (r x w) are uint64 arrays with entries in
     [0, p), and r <= _PANEL.  With x = x0 + 2^16 x1 (x0 < 2^16, x1 < 2^15)
-    the product is taken as [x0 | x1] @ [(-u) mod p ; (-2^16 u) mod p]:
-    its partial sums, and t plus it, are integers below
-    _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) + p < 2^53, so each is a
-    float64, and the BLAS summation order, FMA use and thread count do not
-    change the result.  The sum is reduced (``_reduce_float``) and written
-    back to t.
+    the difference is taken as t - [x0 | x1] @ [u ; (2^16 u) mod p]: the
+    product's partial sums are integers below
+    _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) < 2^53, so each is a float64,
+    and the BLAS summation order, FMA use and thread count do not change
+    the result.  The difference, in (-2^53, p), is reduced
+    (``_reduce_float``) and written back to t.
     """
-    import numpy as np
     r = len(u)
     xs = np.empty((len(x), 2 * r))
     xs[:, :r] = x & 0xFFFF
     xs[:, r:] = x >> 16
     v = np.empty((2 * r, u.shape[1]))
     v[:r] = u
-    np.negative(v[:r], out=v[:r])
     np.multiply(v[:r], 1 << 16, out=v[r:])
-    _reduce_float(v, p, np.empty_like(v))
+    _reduce_float(v[r:], p, np.empty_like(v[r:]))
     s = xs @ v
-    s += t
-    _reduce_float(s, p, t.view(np.float64))  # t is added in: its memory is scratch
+    np.subtract(t, s, out=s)
+    _reduce_float(s, p, t.view(np.float64))  # t is read: its memory is scratch
     np.copyto(t, s, casting="unsafe")
 
 
@@ -289,7 +281,6 @@ def _reduce_float(x: np.ndarray, p: int, y: np.ndarray) -> None:
     moves the floor by at most one, which one fix-up of p either way
     corrects.  np.fmod is about 20 times slower.
     """
-    import numpy as np
     np.multiply(x, 1 / p, out=y)
     np.floor(y, out=y)
     y *= p
@@ -298,18 +289,9 @@ def _reduce_float(x: np.ndarray, p: int, y: np.ndarray) -> None:
     np.subtract(x, p, out=x, where=x >= p)
 
 
-def _reduce(x: np.ndarray, q: int | np.uint64) -> None:
-    """Reduce the uint64 array ``x`` mod q in place.
-
-    q is a numpy uint64, or the Python int p from ``matmul_mod``, whose
-    reductions are mostly small and one per call: numpy's remainder
-    converts an int in about 0.1 us, half what making a uint64 takes.  Its
-    integer division by an int is slower than by a uint64, so the wide
-    form converts q first.
-    """
+def _reduce(x: np.ndarray, q: np.uint64) -> None:
+    """Reduce the uint64 array ``x`` mod the uint64 modulus q in place."""
     if x.size > _WIDE:
-        import numpy as np
-        q = np.uint64(q)
         # numpy vectorises integer division by a scalar, but not the remainder
         x -= x // q * q
     else:
@@ -338,7 +320,6 @@ def _sample_columns(m: int, k: int) -> np.ndarray:
     sharing a factor with k a trailing one.  Columns that all fix an axis
     are a slice of the tensor, whose rank can be lower.
     """
-    import numpy as np
     s = round(k * (sqrt(5) - 1) / 2)
     while gcd(s, k) != 1:
         s += 1
@@ -357,7 +338,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     its edge, as in every optimalised model: each of the sampler's products
     is then at most the full tensor.
     """
-    import numpy as np
     m, k = a.shape
     k2, n = b.shape
     if k != k2:
@@ -366,10 +346,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if m * n > SIZE_CAP:
         raise SizeCapError(f"product of {m * n} entries exceeds the cap of {SIZE_CAP}")
     _check_work("product", m * k * n, MATMUL_WORK_CAP)
-    a, b = a.view(np.uint64), b.view(np.uint64)
+    a, b, q = a.view(np.uint64), b.view(np.uint64), np.uint64(p)
     out = a[:, :4] @ b[:4]
-    _reduce(out, p)
+    _reduce(out, q)
     for i in range(4, k, 4):
         out += a[:, i : i + 4] @ b[i : i + 4]
-        _reduce(out, p)
+        _reduce(out, q)
     return out.view(np.int64)

@@ -11,7 +11,7 @@ each edge's own bipartition it is the optimal bond (optimalize).
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
 from .cuts import _cheapest_cut, _product_cut
 from .trees import EdgeId, Tree, _parse_label, parse_tree
@@ -113,19 +113,13 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
     if _is_int(raw_f):
         f = {e: raw_f for e in tree.edges()}
     elif isinstance(raw_f, Mapping):
-        f = {}
-        edge_keys: dict[EdgeId, str] = {}
-        for key, value in raw_f.items():
+        def edge(key: str) -> EdgeId:
             try:
-                eid = tree.resolve_edge(EdgeId.from_key(key))
+                return tree.resolve_edge(EdgeId.from_key(key))
             except ValueError:
                 raise ValueError(f"edge key {key!r} does not name an edge of the tree") from None
-            if eid in edge_keys:
-                raise ValueError(f"edge keys {edge_keys[eid]!r} and {key!r} name the same edge")
-            if not _is_int(value):
-                raise ValueError(f"bond value for {key!r} must be an integer")
-            edge_keys[eid] = key
-            f[eid] = value
+
+        f = _int_map(raw_f, edge, "edge")
     else:
         raise ValueError('"f" must be an integer or an object of integers')
     raw_dims = data.get("dims")
@@ -136,19 +130,27 @@ def model_from_json_dict(data: Mapping) -> TnsModel:
         constant = values.pop()
         dims = {lab: constant for lab in range(1, tree.n + 1)}
     elif isinstance(raw_dims, Mapping):
-        dims = {}
-        leaf_keys: dict[int, str] = {}
-        for key, value in raw_dims.items():
-            if not _is_int(value):
-                raise ValueError(f"dimension for leaf {key!r} must be an integer")
-            leaf = _parse_label(key)
-            if leaf in leaf_keys:
-                raise ValueError(f"leaf keys {leaf_keys[leaf]!r} and {key!r} name the same leaf")
-            leaf_keys[leaf] = key
-            dims[leaf] = value
+        dims = _int_map(raw_dims, _parse_label, "leaf")
     else:
         raise ValueError('"dims" must be an object of integers')
     return TnsModel(tree, f, dims)
+
+
+def _int_map(raw: Mapping, item: Callable[[str], Hashable], noun: str) -> dict:
+    """The JSON object ``raw`` of integers keyed by ``item(key)``, the
+    ``noun`` a key names; a value that is not an integer, a key ``item``
+    refuses, or two keys naming one item raise ValueError."""
+    out = {}
+    keys = {}
+    for key, value in raw.items():
+        if not _is_int(value):
+            raise ValueError(f"value for {noun} key {key!r} must be an integer")
+        it = item(key)
+        if it in keys:
+            raise ValueError(f"{noun} keys {keys[it]!r} and {key!r} name the same {noun}")
+        keys[it] = key
+        out[it] = value
+    return out
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -27,10 +27,10 @@ from typing import Iterable
 import numpy as np
 
 from .cuts import _cheapest_cut
-from .fieldmath import DEFAULT_PRIME, SIZE_CAP, SizeCapError, _eliminate, _rank_buffer, matmul_mod, validate_prime
+from .fieldmath import DEFAULT_PRIME, SIZE_CAP, _eliminate, _rank_buffer, matmul_mod, validate_prime
 from .models import TnsModel, _clamped_bonds, _Frozen
 from .rng import CounterRng, derive_seed
-from .trees import Tree
+from .trees import SizeCapError, Tree
 
 _MAX_AXES = 64  # numpy (>= 2.0) supports at most 64 array axes
 
@@ -178,15 +178,15 @@ def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
     the buffer that ``_eliminate`` works on in place: ``DenseTensor``
     checked that the entries lie in [0, p), so nothing is reduced, and the
     tensor is left as it was.
-    A zero-length axis on either side gives rank 0.  More than
-    RANK_WORK_CAP multiply-adds raise SizeCapError before the copy.
+    A side with no leaves (A empty, or every leaf) has one row, so the
+    rank is 1 for a nonzero tensor and 0 for a zero one; a zero-length
+    axis on either side gives rank 0.  More than RANK_WORK_CAP
+    multiply-adds raise SizeCapError before the copy.
     """
     labels = set(a)
     for lab in labels:
         if not 1 <= lab <= t.n:
             raise ValueError(f"unknown leaf label {lab}")
-    if not labels or len(labels) == t.n:
-        return 0 if t.is_zero() else 1
     rows = sorted(lab - 1 for lab in labels)
     cols = [i for i in range(t.n) if i + 1 not in labels]
     m, k = prod(t.shape[i] for i in rows), prod(t.shape[i] for i in cols)

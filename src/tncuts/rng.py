@@ -8,7 +8,9 @@ where ``mix64`` is the SplitMix64 output function and GAMMA is the usual
 golden-ratio increment.  Field residues are produced by rejection sampling,
 so draws are exactly uniform on [0, p).  The scheme is frozen: golden
 outputs depend on it, so it must not change between releases.  Only the
-vectorised draws use numpy, imported on first call (see ``fieldmath``).
+vectorised draws use numpy, imported on first call: ``trees`` and
+``hackbusch`` load this module for the pure-Python draws, which a
+process that never samples a tensor makes without numpy.
 """
 
 from __future__ import annotations

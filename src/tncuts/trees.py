@@ -33,6 +33,10 @@ class TreeParseError(ValueError):
     """Malformed parenthesised tree expression."""
 
 
+class SizeCapError(RuntimeError):
+    """An input would exceed a resource cap (the oracle's dense sizes, the CLI's flags)."""
+
+
 def _parse_label(text: str) -> int:
     """A leaf label in a key or a subset list, read as tree text writes it: a run of decimal digits."""
     if not (isinstance(text, str) and text.isdecimal()):
@@ -350,8 +354,6 @@ def parse_tree(text: str) -> Tree:
     """
     leaves = text.count(",") + 1
     if leaves > _MAX_LEAVES:
-        from .fieldmath import SizeCapError
-
         raise SizeCapError(f"a tree of {leaves} leaves exceeds the cap of {_MAX_LEAVES}")
     return _parse_tree(text)
 

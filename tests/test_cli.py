@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: golden outputs, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
@@ -71,6 +72,44 @@ def test_only_verify_loads_numpy():
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, cwd=ROOT)
     assert out.returncode == 0, out.stderr.decode()
     assert json.loads(out.stdout) == [[0] * len(argvs), False]
+
+
+def test_refusals_load_no_numpy(tmp_path):
+    # an input refused at a cap exits 3 as lightly as a command that
+    # succeeds without numpy: SizeCapError comes with the tree module, and
+    # the field module, which imports numpy, is left unloaded
+    (tmp_path / "cat21846.txt").write_text(CAT21846, encoding="utf-8")
+    argvs = [
+        ["hackbusch", "--n", "21846"],
+        ["minmono", "--tree", str(tmp_path / "cat21846.txt"), "--subset", "1"],
+        ["permscan", "--tree", "inputs/cat4.txt", "--mode", "sampled", "--trials", "100001"],
+    ]
+    code = (
+        "import json, sys, tncuts.cli\n"
+        "codes = [tncuts.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, cwd=ROOT)
+    assert out.returncode == 0, out.stderr.decode()
+    assert json.loads(out.stdout) == [[3, 3, 3], False]
+    assert out.stderr.decode().count("exceeds the cap") == 3
+
+
+def test_fieldmath_imports_numpy_at_the_top_only():
+    import tncuts
+    from tncuts import fieldmath, trees
+
+    source = Path(fieldmath.__file__).read_text(encoding="utf-8")
+    functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+    importing = [
+        function.name
+        for function in functions
+        for node in ast.walk(function)
+        if isinstance(node, ast.Import) and any(alias.name == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numpy"
+    ]
+    assert functions and importing == []
+    assert tncuts.SizeCapError is fieldmath.SizeCapError is trees.SizeCapError
 
 
 # The package modules each subcommand runs, besides tncuts and tncuts.cli

@@ -320,15 +320,18 @@ def _panel_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def _at_the_float_bound(p: int, r: int) -> np.ndarray:
-    """r pivot rows [I | 1], then three rows of p - 1 times their sum; rank r.
+    """r pivot rows [I | 1 | p - 1], then three rows of p - 1 times their
+    sum; rank r.
 
     After the first panel of r rows, X = T[:, piv] is all p - 1 and the
-    stacked operand [(-U) mod p ; (-2^16 U) mod p] is p - 1 and p - 2^16
-    at every free column: each sum of ``fieldmath._eliminate``'s float64
+    stacked operand [U ; (2^16 U) mod p] is p - 1 and p - 2^16 at every
+    free column of p - 1: each sum of ``fieldmath._eliminate``'s float64
     product is as close to its 2^53 bound as residues allow, and the last
     rows reduce to zero only if every sum is exact.
     """
-    top = np.hstack([np.eye(r, dtype=np.int64), np.ones((r, 8), dtype=np.int64)])
+    free = np.ones((r, 8), dtype=np.int64)
+    free[:, 4:] = p - 1
+    top = np.hstack([np.eye(r, dtype=np.int64), free])
     total = (p - 1) * top.sum(axis=0) % p
     return np.vstack([top] + [total] * 3)
 
@@ -342,8 +345,9 @@ def test_rank_mod_matches_reference(p):
 
 
 def test_panel_products_stay_below_2_53():
-    # the largest sum _eliminate's float64 product can reach: _PANEL terms
-    # of (2^16 - 1 + 2^15 - 1) * (p - 1), plus an entry below p
+    # the largest sum _eliminate's float64 product can reach, _PANEL terms
+    # of (2^16 - 1 + 2^15 - 1) * (p - 1), with room for the entry below p
+    # it is subtracted from
     b, p = fieldmath._PANEL, fieldmath.MAX_PRIME
     assert b * ((1 << 16) - 1 + (1 << 15) - 1) * (p - 1) + p - 1 < 1 << 53
 
@@ -352,11 +356,11 @@ def test_panel_products_stay_below_2_53():
 def test_reduce_float_matches_python_remainder(p):
     # k * p + d for d in -1, 0, 1 and k up to the 2^53 bound, where x / p
     # rounds onto or across an integer and the floor needs its fix-up;
-    # negative x as well, as (-U) mod p takes it
+    # negative x down to the same bound, as t - X @ [U ; (2^16 U) mod p] takes it
     top = ((1 << 53) - 2) // p
     ks = sorted({*range(4), *range(top - 3, top + 1), *np.random.default_rng(p).integers(0, top, 200).tolist()})
     xs = [0] + [k * p + d for k in ks for d in (-1, 0, 1) if 0 <= k * p + d < 1 << 53]
-    xs += [-x for x in xs if x < 1 << 48]
+    xs += [-x for x in xs]
     got = np.array(xs, dtype=np.float64)
     assert got.astype(np.int64).tolist() == xs  # every x is a float64
     fieldmath._reduce_float(got, p, np.empty_like(got))
@@ -366,9 +370,9 @@ def test_reduce_float_matches_python_remainder(p):
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 1000003])
 @pytest.mark.parametrize("u_entry", [1, -1], ids=["u=1", "u=p-1"])
 def test_float_update_at_the_bound_matches_matmul_mod(p, u_entry):
-    # t, x all p - 1 and r = _PANEL pivots: with u = 1 the stacked operand
-    # [(-u) mod p ; (-2^16 u) mod p] is p - 1 and p - 2^16, so each sum is
-    # as large as residues make it
+    # t, x all p - 1 and r = _PANEL pivots: with u = p - 1 the stacked
+    # operand [u ; (2^16 u) mod p] is p - 1 and p - 2^16, so each sum is as
+    # large as residues make it
     r, n, w = fieldmath._PANEL, 5, 7
     u = np.full((r, w), u_entry % p, dtype=np.int64)
     x = np.full((n, r), p - 1, dtype=np.int64)
@@ -732,6 +736,25 @@ def test_flattening_rank_zero_and_elementary():
     elementary = DenseTensor(e, p)
     assert flattening_rank(elementary, {1, 2}) == 1
     assert flattening_rank(elementary, {2, 4}) == 1
+    assert flattening_rank(elementary, set()) == 1
+    assert flattening_rank(elementary, {1, 2, 3, 4}) == 1
+
+
+def test_flattening_rank_with_no_leaves_on_one_side():
+    # the empty set and every leaf flatten to one row of every entry, wide
+    # enough past 400 entries for the column sample, which certifies a
+    # sampled tensor and misses the one nonzero entry of a sparse one; a
+    # 0-axis tensor is one entry, of rank 1 when it is nonzero
+    p = DEFAULT_PRIME
+    tree = random_binary_tree(7, rng=CounterRng(7))
+    t = sample_tns_tensor(TnsModel.constant(tree, 2, dims={lab: 3 for lab in range(1, 8)}), seed=7, p=p)
+    sparse = np.zeros(t.shape, dtype=np.int64)
+    sparse[1, 2, 1, 0, 2, 1, 1] = 5
+    for tensor in (t, DenseTensor(sparse, p)):
+        assert tensor.data.size > fieldmath._WIDE
+        assert flattening_rank(tensor, set()) == flattening_rank(tensor, range(1, 8)) == 1
+    assert flattening_rank(DenseTensor(np.array(5, dtype=np.int64), p), set()) == 1
+    assert flattening_rank(DenseTensor(np.array(0, dtype=np.int64), p), set()) == 0
 
 
 def test_flattening_rank_sampled_cat4():
