@@ -46,13 +46,13 @@ class ProductCut(NamedTuple):
 def _cut_costs(
     tree: Tree, amask: int, weights: list[int], forbidden: int,
     vertices: Iterable[int], c0: list[int], c1: list[int],
-) -> None:
+) -> int:
     # Recompute c0[v] / c1[v] for each v in ``vertices``, every vertex after
     # its children: the cheapest product of cut weights below v, given that
     # v's component is coloured 0 (outside A) or 1 (inside A).  A leaf's
     # other colour costs ``forbidden``, more than any single weight, which
-    # is all a parent compares it with; at the root (leaf 1) only its own
-    # colour is read.
+    # is all a parent compares it with.  ``vertices`` ends at the root
+    # (leaf 1), whose own colour gives the cost returned.
     n = tree.n
     children = tree._children
     for v in vertices:
@@ -68,20 +68,19 @@ def _cut_costs(
             b1 *= u1 if u1 < cut else cut
         c0[v] = b0
         c1[v] = b1
+    return c1[0] if amask & 1 else c0[0]
 
 
-def _full_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], list[int]]:
-    """c0 and c1 of every vertex, from one pass from the leaves up."""
+def _full_costs(tree: Tree, amask: int, weights: list[int]) -> tuple[list[int], list[int], int]:
+    """c0 and c1 of every vertex, from one pass from the leaves up, and the root's cost."""
     c0 = [1] * tree.num_vertices
     c1 = [1] * tree.num_vertices
-    _cut_costs(tree, amask, weights, max(weights) + 1, tree._postorder, c0, c1)
-    return c0, c1
+    return c0, c1, _cut_costs(tree, amask, weights, max(weights) + 1, tree._postorder, c0, c1)
 
 
 def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
     """Cheapest product of weights over the monochromatic cuts for the leaf mask."""
-    c0, c1 = _full_costs(tree, amask, weights)
-    return c1[0] if amask & 1 else c0[0]
+    return _full_costs(tree, amask, weights)[2]
 
 
 def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
@@ -94,7 +93,7 @@ def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
     """
     weights = [2] * len(tree._edge_ends)
     forbidden = max(weights) + 1
-    c0, c1 = _full_costs(tree, 0, weights)
+    c0, c1, _ = _full_costs(tree, 0, weights)
     parent_edge = tree._parent_edge
     edge_ends = tree._edge_ends
     amask = 0
@@ -104,13 +103,12 @@ def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
         while v:
             v = edge_ends[parent_edge[v]][0]
             path.append(v)
-        _cut_costs(tree, amask, weights, forbidden, path, c0, c1)
-        yield (c1[0] if amask & 1 else c0[0]).bit_length() - 1
+        yield _cut_costs(tree, amask, weights, forbidden, path, c0, c1).bit_length() - 1
 
 
 def _product_cut(tree: Tree, amask: int, weights: list[int]) -> tuple[int, frozenset[EdgeId]]:
     """Cheapest product of weights over the monochromatic cuts, with a witness."""
-    c0, c1 = _full_costs(tree, amask, weights)
+    c0, c1, cost = _full_costs(tree, amask, weights)
     # Witness walk from the root down.  On ties prefer keeping the edge,
     # which pushes cuts towards the leaves.
     cut_edges = []
@@ -128,7 +126,6 @@ def _product_cut(tree: Tree, amask: int, weights: list[int]) -> tuple[int, froze
             else:
                 cut_edges.append(ei)
                 stack.append((u, low_s))
-    cost = c1[0] if amask & 1 else c0[0]
     edges = tree.edges()
     return cost, frozenset(edges[i] for i in cut_edges)
 
@@ -258,7 +255,7 @@ def construct_hard_subset(tree: Tree) -> frozenset[int]:
     leaves the two smallest labels form the cherry.
     """
     left = tree._full_mask
-    sides = tree._edge_sides
+    sides = [e.mask for e in tree.edges()]
     chosen = set()
     while left.bit_count() >= 4:
         most = left.bit_count() - 2

@@ -316,8 +316,8 @@ def compare_models(m1: TnsModel, m2: TnsModel) -> ComparisonReport:
         raise ValueError("models must have identical leaf dimensions")
     bonds = _clamped_bonds(m1)
     checks = []
-    for eid, side in zip(m2.tree.edges(), m2.tree._edge_sides):
-        required = _cheapest_cut(m1.tree, side, bonds)
+    for eid in m2.tree.edges():
+        required = _cheapest_cut(m1.tree, eid.mask, bonds)
         checks.append(EdgeCheck(eid, required, m2.f[eid], m2.f[eid] >= required))
     witness = next((c.edge for c in checks if not c.ok), None)
     return ComparisonReport(tuple(checks), witness is None, witness)

@@ -6,13 +6,17 @@ by the leaf bipartition it induces: the canonical key is the side whose
 (size, sorted labels) pair is smaller.  Trees are immutable values, equal
 exactly when they induce the same set of bipartitions.
 
-Sides are leaf masks (bit i is label i + 1), never label tuples.  Of two
-sides of one size, the one holding the lowest bit of their XOR has the
-smaller sorted labels, so one XOR orders them; an edge's ``labels`` and
-``key`` are rendered from its mask only when asked for.  A tree builds its
-``EdgeId`` objects once, on the first ``edges()`` call.  The generators
-grow plain edge lists, one leaf insertion at a time, and build one
-``Tree`` per tree they return.
+A tree stores its edges once, as (parent, child) vertex pairs in canonical
+edge order, which comes from each side's size and least label, counted per
+vertex.  Sides are leaf masks (bit i is label i + 1), never label tuples,
+and only an ``EdgeId`` holds one: a tree builds its ``EdgeId`` objects,
+masks and all, on its first ``edges()`` call, so a tree whose edges are
+never named takes O(n) memory.  Of two sides of one size, the one holding
+the lowest bit of their XOR has the smaller sorted labels, so one XOR
+orders two ``EdgeId`` objects; an edge's ``labels`` and ``key`` are
+rendered from its mask only when asked for.  The generators grow plain
+edge lists, one leaf insertion at a time, and build one ``Tree`` per tree
+they return.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .rng import CounterRng
 
 
 # Most leaves a parsed tree may have, as many as ``hackbusch --n`` allows.
-# A Tree keeps an n-bit side mask per edge, so its memory grows as n^2: a
-# caterpillar on 21,845 leaves peaked at 184 MiB, one on 43,690 at 598 MiB.
+# A Tree takes O(n) memory, but naming its edges (``edges()``) builds an
+# n-bit side mask per edge, which grows as n^2: ``minmono`` on a caterpillar
+# of 21,845 leaves peaked at 158 MiB, ``hackbusch --n 21845`` at 65 MiB.
 _MAX_LEAVES = 21845
 
 
@@ -130,17 +135,19 @@ class EdgeId:
 
 def _canonical_edges(
     adj: Mapping[Hashable, Iterable[Hashable]], leaf_labels: Mapping[Hashable, int]
-) -> list[tuple[int, Hashable, Hashable]]:
-    """(canonical side, parent, child) of every edge of a tree, in canonical order.
+) -> list[tuple[Hashable, Hashable]]:
+    """(parent, child) of every edge of a tree, in canonical edge order.
 
-    Rooted at the leaf labelled 1, a child's subtree mask is one side of
-    the edge to its parent and never holds leaf 1.  So the canonical side
-    -- fewer leaves, then the side holding leaf 1 on a tie -- is that mask
-    exactly when it is the strictly smaller half.  Two canonical sides of
-    one size are disjoint: the splits of two edges are compatible, and
-    any other overlap would make the two splits equal.  So the lowest bit
-    of their XOR is the lower of their lowest bits, and (size, least
-    label) sorts them.
+    Rooted at the leaf labelled 1, a child's subtree is one side of the
+    edge to its parent and never holds leaf 1.  So the canonical side --
+    fewer leaves, then the side holding leaf 1 on a tie -- is the subtree
+    exactly when it is the strictly smaller half, and the rest of the tree
+    otherwise.  Two canonical sides of one size are disjoint: the splits
+    of two edges are compatible, and any other overlap would make the two
+    splits equal.  So their sorted labels first differ at the lower of
+    their least labels, and (size, least label) sorts them; both are
+    counted per vertex on the way up, and no side is built.  (The same
+    fact lets ``EdgeId`` order two sides by the lowest bit of their XOR.)
 
     The walk checks that each vertex it reaches lists the vertex it came
     from.  With the degree sum of a tree and connectivity, that makes the
@@ -160,20 +167,17 @@ def _canonical_edges(
                 order.append(u)
     if len(order) != len(adj):
         raise ValueError("tree must be connected")
-    below = {v: 1 << (leaf_labels[v] - 1) if v in leaf_labels else 0 for v in order}
-    for v in reversed(order[1:]):
-        below[parent[v]] |= below[v]
-    full = (1 << n) - 1
+    size = {v: 1 if v in leaf_labels else 0 for v in order}
+    least = {v: leaf_labels.get(v, n + 1) for v in order}
     keyed = []
-    for v in order[1:]:
-        side = below[v]
-        size = side.bit_count()
-        if 2 * size < n:
-            keyed.append((size, (side & -side).bit_length(), side, parent[v], v))
-        else:
-            keyed.append((n - size, 1, full ^ side, parent[v], v))
+    for v in reversed(order[1:]):
+        u, s, low = parent[v], size[v], least[v]
+        size[u] += s
+        if low < least[u]:
+            least[u] = low
+        keyed.append((s, low, u, v) if 2 * s < n else (n - s, 1, u, v))
     keyed.sort()   # (size, least label) is unique per edge, so the vertices are never compared
-    return [(side, u, v) for _, _, side, u, v in keyed]
+    return [(u, v) for _, _, u, v in keyed]
 
 
 class Tree:
@@ -188,9 +192,15 @@ class Tree:
     tree's one edge belongs to both leaves.  The one adjacency kept is the
     orientation rooted at vertex 0: ``_children``, ``_parent_edge`` and
     ``_postorder``; every walk over it is a loop, never a recursion.
-    ``_edge_sides`` holds each edge's canonical side in edge order; the
-    first ``edges()`` call builds ``_edge_ids`` from them, and ``_edge_pos``,
-    which maps each ``EdgeId`` back to its position.
+
+    ``_edge_ends`` is the one stored edge list, and equality and the hash
+    read it.  It is canonical: leaves are numbered by label, inner vertices
+    by their sorted incident edge positions, which differ since two inner
+    vertices share at most one edge, and the edges come in canonical order,
+    oriented from leaf 1.  So equal trees have equal ``_edge_ends``, and it
+    determines the tree.  The first ``edges()`` call builds the side masks
+    in one pass from the leaves up, ``_edge_ids`` from them, and
+    ``_edge_pos``, which maps each ``EdgeId`` back to its position.
     """
 
     __slots__ = (
@@ -199,7 +209,6 @@ class Tree:
         "_edge_ids",
         "_edge_pos",
         "_edge_ends",
-        "_edge_sides",
         "_children",
         "_parent_edge",
         "_postorder",
@@ -225,7 +234,7 @@ class Tree:
         # Canonical vertex numbering: leaves by label, then inner vertices
         # by the ascending positions of their incident edges.
         incident: dict[int, list[int]] = {v: [] for v in adj}
-        for i, (_, u, v) in enumerate(edges):
+        for i, (u, v) in enumerate(edges):
             incident[u].append(i)
             incident[v].append(i)
         new_index = {v: leaf_labels[v] - 1 for v in leaf_labels}
@@ -238,8 +247,7 @@ class Tree:
         self._full_mask = (1 << n) - 1
         self._edge_ids: tuple[EdgeId, ...] | None = None
         self._edge_pos: dict[EdgeId, int] = {}
-        self._edge_sides = tuple(side for side, _, _ in edges)
-        self._edge_ends = tuple((new_index[u], new_index[v]) for _, u, v in edges)
+        self._edge_ends = tuple((new_index[u], new_index[v]) for u, v in edges)
 
         # Rooted orientation at vertex 0 (the leaf labelled 1): every edge's
         # ends are (parent, child) from the walk above.  Reused by the cut
@@ -266,18 +274,30 @@ class Tree:
         return frozenset(range(1, self.n + 1))
 
     def edges(self) -> tuple[EdgeId, ...]:
-        """All edges, sorted by canonical key; built on the first call and kept."""
+        """All edges, sorted by canonical key; built on the first call and kept.
+
+        A vertex's subtree mask is the OR of its children's, and an edge's
+        canonical side is its child's subtree mask when that holds fewer
+        than half the leaves, else the complement (see ``_canonical_edges``).
+        """
         ids = self._edge_ids
         if ids is None:
-            ids = tuple(map(EdgeId._of_side, self._edge_sides))
+            n, full = self.n, self._full_mask
+            below = [1 << v for v in range(n)] + [0] * (self.num_vertices - n)
+            sides = [0] * len(self._edge_ends)
+            for v in self._postorder:
+                for u, ei in self._children[v]:
+                    side = below[u]
+                    below[v] |= side
+                    sides[ei] = side if 2 * side.bit_count() < n else full ^ side
+            ids = tuple(map(EdgeId._of_side, sides))
             self._edge_pos = {eid: i for i, eid in enumerate(ids)}
             self._edge_ids = ids
         return ids
 
     def _position(self, edge: EdgeId) -> int:
         """Position in ``edges()`` of the edge named by either side of its bipartition."""
-        if self._edge_ids is None:
-            self.edges()
+        self.edges()
         pos = self._edge_pos.get(edge)
         if pos is None:
             pos = self._edge_pos.get(EdgeId._of_side(self._full_mask ^ edge.mask))
@@ -291,7 +311,7 @@ class Tree:
 
     def leaves_left_of(self, edge: EdgeId) -> frozenset[int]:
         """The canonical-key side of the edge's leaf bipartition."""
-        return self.labels_of_mask(self._edge_sides[self._position(edge)])
+        return self.labels_of_mask(self.edges()[self._position(edge)].mask)
 
     def mask_of(self, labels: Iterable[int]) -> int:
         mask = 0
@@ -307,15 +327,15 @@ class Tree:
     # -- value semantics -----------------------------------------------
 
     @property
-    def _split_key(self) -> tuple[int, ...]:
-        """The canonical sides in edge order: equal exactly for equal trees of one size."""
-        return self._edge_sides
+    def _split_key(self) -> tuple[tuple[int, int], ...]:
+        """``_edge_ends``, which is canonical: equal exactly for equal trees."""
+        return self._edge_ends
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and self.n == other.n and self._edge_sides == other._edge_sides
+        return isinstance(other, Tree) and self._edge_ends == other._edge_ends
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edge_sides))
+        return hash(self._edge_ends)
 
     def __repr__(self) -> str:
         return f"Tree({self.serialize()!r})"
@@ -470,7 +490,7 @@ def all_binary_trees(n: int) -> Iterator[Tree]:
         if len(labels) == n:
             yield Tree(_adjacency(ends), labels)
         else:
-            ordered = [(u, v) for _, u, v in _canonical_edges(_adjacency(ends), labels)]
+            ordered = _canonical_edges(_adjacency(ends), labels)
             stack.extend(_inserted(ordered, labels, i) for i in reversed(range(len(ordered))))
 
 
@@ -529,6 +549,5 @@ def random_binary_tree(n: int, seed: int = 0, rng: CounterRng | None = None) -> 
         rng = CounterRng(seed)
     ends, labels = [(0, 1)], {0: 1, 1: 2}
     for k in range(2, n):
-        ordered = [(u, v) for _, u, v in _canonical_edges(_adjacency(ends), labels)]
-        ends, labels = _inserted(ordered, labels, rng.randbelow(2 * k - 3))
+        ends, labels = _inserted(_canonical_edges(_adjacency(ends), labels), labels, rng.randbelow(2 * k - 3))
     return Tree(_adjacency(ends), labels)

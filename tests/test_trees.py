@@ -18,13 +18,15 @@ from tncuts import (
     build_train_track,
     complement,
     construct_hard_subset,
+    min_exponent_over_permutations,
     parse_tree,
     random_binary_tree,
     relabel,
     tree_shapes,
+    tt_exponent,
 )
 from tncuts import SizeCapError, trees
-from tncuts.trees import _shape_signature
+from tncuts.trees import _adjacency, _canonical_edges, _shape_signature
 
 CAT4 = "((1,2),(3,4))"
 
@@ -158,7 +160,7 @@ def _hand_built_train_track(n: int) -> Tree:
 
 def test_train_track_matches_hand_built():
     # the builder goes through the parser; same tree, same internal layout
-    fields = ("_edge_sides", "_edge_ends", "_children", "_postorder", "_parent_edge")
+    fields = ("_edge_ends", "_children", "_postorder", "_parent_edge")
     for n in list(range(2, 80)) + [1500]:
         got, want = build_train_track(n), _hand_built_train_track(n)
         assert got.serialize() == want.serialize(), n
@@ -197,7 +199,7 @@ def test_leaves_left_of():
             tree.resolve_edge(EdgeId(labels))
 
 
-TREE_FIELDS = ("_edge_sides", "_edge_ends", "_children", "_parent_edge", "_postorder")
+TREE_FIELDS = ("_edge_ends", "_children", "_parent_edge", "_postorder")
 
 
 def test_build_is_canonical_whatever_the_raw_numbering():
@@ -205,9 +207,26 @@ def test_build_is_canonical_whatever_the_raw_numbering():
     trees += [random_binary_tree(n, seed=n) for n in range(8, 60)]
     for tree in trees:
         for again in (parse_tree(tree.serialize()), relabel(tree, range(1, tree.n + 1))):
+            assert again == tree and hash(again) == hash(tree), tree.serialize()
             assert again.edges() == tree.edges(), tree.serialize()
             for field in TREE_FIELDS:
                 assert getattr(again, field) == getattr(tree, field), (tree.serialize(), field)
+
+
+def test_canonical_order_matches_mask_reference():
+    # (size, least label) counted per vertex puts the edges in the order of
+    # their side masks, and edges() builds the same sides
+    trees = [tree for n in range(2, 8) for tree in all_binary_trees(n)]
+    trees += [random_binary_tree(n, seed=n) for n in range(8, 61)]
+    trees += [build(n) for build in (build_train_track, build_almost_perfect_binary) for n in (300, 1366)]
+    for tree in trees:
+        adj = _adjacency(tree._edge_ends)
+        want = ref.canonical_edges(adj, {v: v + 1 for v in range(tree.n)})
+        assert tree._edge_ends == tuple((u, v) for _, u, v in want), tree.serialize()
+        assert [e.mask for e in tree.edges()] == [side for side, _, _ in want], tree.serialize()
+        reversed_labels = {v: tree.n - v for v in range(tree.n)}
+        want = ref.canonical_edges(adj, reversed_labels)
+        assert _canonical_edges(adj, reversed_labels) == [(u, v) for _, u, v in want], tree.serialize()
 
 
 def test_edge_bipartition_properties():
@@ -400,22 +419,35 @@ def test_edge_id_refuses_labels_above_2_to_the_24():
 # -- scale gates: memory and build counts, no wall clock ----------------------
 
 
-def test_deep_caterpillar_tree_stays_small():
-    # sides are masks, so a caterpillar holds no O(n)-long tuple per edge
-    n = 3000
-    text = "(" * (n - 1) + "1," + "),".join(map(str, range(2, n + 1))) + ")"
+def _retained(make):
+    """What ``make()`` returns, and the bytes still allocated once it has returned."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tree = parse_tree(text)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        made = make()
+        return made, tracemalloc.get_traced_memory()[0] - before
     finally:
         if started:
             tracemalloc.stop()
+
+
+def test_deep_caterpillar_tree_stays_small():
+    # a tree holds no side masks until its edges are named, so it takes O(n)
+    # memory, and the tree-only paths never name them
+    n = 3000
+    text = "(" * (n - 1) + "1," + "),".join(map(str, range(2, n + 1))) + ")"
+    tree, retained = _retained(lambda: parse_tree(text))
     assert tree.n == n
     assert retained < 8 * 2**20
+    _, small = _retained(lambda: build_train_track(3000))
+    _, large = _retained(lambda: build_train_track(12000))
+    assert large < 5 * small, (small, large)
+    tree = build_almost_perfect_binary(1366)
+    tt_exponent(tree)
+    min_exponent_over_permutations(tree, "sampled", trials=3, seed=1)
+    assert tree._edge_ids is None
 
 
 def test_generators_build_one_tree_per_tree_returned(monkeypatch):

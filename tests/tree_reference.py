@@ -6,15 +6,16 @@ directed edge, the enumeration recurses on one leaf fewer and inserts
 each leaf by editing neighbour sets, and the almost-perfect tree is
 written by halving its leaf interval and read by the parser here.  The
 random tree builds one canonical ``Tree`` per inserted leaf, and the
-edge keys are sorted label tuples of sides found by a walk.  They are
-quadratic or recursive on purpose, so keep them to trees of a few
-hundred leaves.
+edge keys are sorted label tuples of sides found by a walk.  The
+canonical edge order sorts every edge's side mask, built for each subtree
+on the way up.  They are quadratic or recursive on purpose, so keep them
+to trees of a few hundred leaves, or a few thousand for the edge order.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from tncuts import CounterRng, Tree, build_train_track
 
@@ -187,3 +188,39 @@ def edge_keys(tree: Tree) -> list[str]:
         side = {x + 1 for x in todo if x < tree.n}
         keys.append(min((len(s), tuple(sorted(s))) for s in (side, everything - side)))
     return ["-".join(map(str, labels)) for _, labels in sorted(keys)]
+
+
+def canonical_edges(
+    adj: Mapping[Hashable, Iterable[Hashable]], leaf_labels: Mapping[Hashable, int]
+) -> list[tuple[int, Hashable, Hashable]]:
+    """(canonical side, parent, child) of every edge, sorted by the sides' masks.
+
+    Rooted at the leaf labelled 1, a child's subtree mask is one side of
+    the edge to its parent and never holds leaf 1; the canonical side is
+    that mask when it holds fewer than half the leaves, else the rest.
+    Edges are sorted by (size, least label, side), and the side breaks no
+    tie, since (size, least label) names one edge.
+    """
+    n = len(leaf_labels)
+    root = next(v for v, lab in leaf_labels.items() if lab == 1)
+    order = [root]
+    parent = {root: None}
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    below = {v: 1 << (leaf_labels[v] - 1) if v in leaf_labels else 0 for v in order}
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    full = (1 << n) - 1
+    keyed = []
+    for v in order[1:]:
+        side = below[v]
+        size = side.bit_count()
+        if 2 * size < n:
+            keyed.append((size, (side & -side).bit_length(), side, parent[v], v))
+        else:
+            keyed.append((n - size, 1, full ^ side, parent[v], v))
+    keyed.sort()
+    return [(side, u, v) for _, _, side, u, v in keyed]
