@@ -29,7 +29,6 @@ _EXPORTS = {
     "fieldmath": ("DEFAULT_PRIME", "SIZE_CAP", "active_backend", "rank_mod"),
     "hackbusch": (
         "ExponentResult",
-        "LandmarkMismatchError",
         "PermScanResult",
         "Verdict",
         "a_seq",
@@ -61,6 +60,7 @@ _EXPORTS = {
     "rng": ("CounterRng", "derive_seed"),
     "trees": (
         "EdgeId",
+        "LandmarkMismatchError",
         "SizeCapError",
         "Tree",
         "TreeParseError",

@@ -19,8 +19,8 @@ product each hold at most 2^24 entries.
 Start-up is most of a process's time, so each handler imports the package
 modules it runs when it is called, and a process compiles only those and
 ``trees``, which every command reads its input with and which defines
-SizeCapError: numpy, for one, loads only for ``verify``, and a refused
-input loads none.
+SizeCapError and LandmarkMismatchError: numpy, for one, loads only for
+``verify``, and a refused input loads none.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import sys
 from math import log10
 from typing import Iterable
 
-from .trees import _MAX_LEAVES, SizeCapError, _parse_label, parse_tree
+from .trees import _MAX_LEAVES, LandmarkMismatchError, SizeCapError, _parse_label, parse_tree
 
 _MAX_TRIALS = 100_000
 _MAX_HACKBUSCH_N = _MAX_LEAVES  # the leaf cap of every tree input too
@@ -240,11 +240,12 @@ def main(argv=None) -> int:
 
 
 def _exit_code(exc: Exception) -> int | None:
-    """2 for a landmark mismatch, 3 for a resource cap, 1 for an input error, else None."""
-    # Only a loaded module can have raised its error, so loading none here
-    # keeps the error path of a command as light as its success path.
-    hackbusch = sys.modules.get(f"{__package__}.hackbusch")
-    if hackbusch and isinstance(exc, hackbusch.LandmarkMismatchError):
+    """2 for a landmark mismatch, 3 for a resource cap, 1 for an input error, else None.
+
+    Both error classes live in ``trees``, which every command loads, so
+    the error path loads no module that the command did not.
+    """
+    if isinstance(exc, LandmarkMismatchError):
         return 2
     if isinstance(exc, SizeCapError):
         return 3

@@ -5,18 +5,19 @@ whose removal leaves every component's leaves single-coloured (components
 without leaves are unconstrained); a colour cut leaves every component with
 at least one leaf of each colour.  Minimum sizes and products come from one
 dynamic program over the orientation rooted at leaf 1: a cost pass from the
-leaves up, then a witness walk from the root down.  A growing leaf set (the
-prefixes of a leaf order) updates those costs on one root path per added
-leaf instead of re-running the pass.  The maximum colour cut
-needs no table: one greedy pass from the leaves up finds it.  The two
-verifiers check a given cut in one more pass from the leaves up.  A hard
+leaves up, then a witness walk from the root down.  A leaf set that changes
+one leaf at a time (the prefixes of a leaf order, or every leaf set in
+Gray-code order) updates those costs on one root path per toggled leaf
+instead of re-running the pass.  The maximum colour cut needs no table:
+one greedy pass from the leaves up finds it.  The two verifiers check a
+given cut in one more pass from the leaves up.  A hard
 subset, whose minimum monochromatic cut has at least floor(n/2) edges,
 comes from greedy cherry elimination over the edge sides.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .trees import EdgeId, Tree
 
@@ -83,13 +84,15 @@ def _cheapest_cut(tree: Tree, amask: int, weights: list[int]) -> int:
     return _full_costs(tree, amask, weights)[2]
 
 
-def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
-    """Minimal monochromatic cut sizes of the prefixes of ``order``, a list of leaf vertices.
+def _mono_sizes(tree: Tree, toggles: Iterable[int]) -> Iterator[int]:
+    """Minimal monochromatic cut sizes as leaves flip into and out of A, which starts empty.
 
-    Yields the size for {order[0], ..., order[j - 1]} for j = 1 .. n - 1.
-    A leaf joining A changes c0/c1 only on its path up to the root, so
-    each prefix costs one root-path update after one full pass for the
-    empty prefix: O(n * depth) in all.
+    Each entry of ``toggles`` is a leaf vertex (label - 1): it joins A if
+    it is outside and leaves A if it is inside, and the size for the new
+    A is yielded.  A flip changes c0/c1 only on the leaf's path up to the
+    root, and the update recomputes each vertex on that path from its
+    children, so a leaf leaving A costs what one joining it does: one
+    full pass for the empty set, then O(depth) per flip.
     """
     weights = [2] * len(tree._edge_ends)
     forbidden = max(weights) + 1
@@ -97,8 +100,8 @@ def _prefix_mono_sizes(tree: Tree, order: Sequence[int]) -> Iterator[int]:
     parent_edge = tree._parent_edge
     edge_ends = tree._edge_ends
     amask = 0
-    for v in order[: tree.n - 1]:
-        amask |= 1 << v
+    for v in toggles:
+        amask ^= 1 << v
         path = [v]
         while v:
             v = edge_ends[parent_edge[v]][0]

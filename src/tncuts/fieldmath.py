@@ -38,7 +38,7 @@ nonzero faster below it.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, sqrt
+from math import gcd, isqrt, sqrt
 
 import numpy as np
 
@@ -81,28 +81,14 @@ def active_backend() -> str:
 
 @lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n < 3.2e18; memoised per n."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and the odd numbers up to isqrt(n), exact for every n; memoised.
+
+    ``validate_prime`` passes it only 10**6 < p <= 2**31 - 1, which takes
+    at most 23,170 divisions, once per prime per process.
+    """
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 def validate_prime(p: int) -> int:

@@ -12,13 +12,9 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
-from .cuts import _cheapest_cut, _prefix_mono_sizes
+from .cuts import _mono_sizes
 from .rng import CounterRng
-from .trees import Tree, build_almost_perfect_binary
-
-
-class LandmarkMismatchError(RuntimeError):
-    """The computed exponent fell outside the expected landmark interval."""
+from .trees import LandmarkMismatchError, Tree, build_almost_perfect_binary
 
 
 def a_seq(k: int) -> int:
@@ -47,7 +43,7 @@ class ExponentResult(NamedTuple):
 
 def _prefix_exponent(tree: Tree, order: Sequence[int]) -> ExponentResult:
     """tt_exponent over the prefixes of ``order``, a list of leaf vertices (label - 1)."""
-    sizes = list(_prefix_mono_sizes(tree, order))
+    sizes = list(_mono_sizes(tree, order[: tree.n - 1]))
     best = max(sizes)
     return ExponentResult(best, sizes.index(best) + 1)
 
@@ -79,18 +75,22 @@ def min_exponent_over_permutations(
     witness[i-1] is the new label of the leaf currently labelled i.
 
     A prefix's minimal monochromatic cut depends only on its leaf set, so
-    the exhaustive scan first tabulates the cut size of all 2^n leaf masks,
-    one cut DP each, and then reads every prefix of every order from that
-    table.  A sampled order instead takes one root-path update of the cut
-    DP per prefix.
+    the exhaustive scan first tabulates the cut size of all 2^n leaf masks
+    and then reads every prefix of every order from that table.  It walks
+    the masks in Gray-code order: mask i ^ (i >> 1) is the one before it
+    with leaf (i & -i).bit_length() - 1 flipped, one root-path update of
+    the cut DP per mask.  A sampled order instead takes one root-path
+    update per prefix.
     """
     n = tree.n
     if mode == "exhaustive":
         if n > 8:
             raise ValueError("exhaustive permutation scan is limited to n <= 8")
         candidates = permutations(range(1, n + 1))
-        weights = [2] * len(tree._edge_ends)
-        sizes = [_cheapest_cut(tree, mask, weights).bit_length() - 1 for mask in range(1 << n)]
+        sizes = [0] * (1 << n)
+        steps = range(1, 1 << n)
+        for i, size in zip(steps, _mono_sizes(tree, [(i & -i).bit_length() - 1 for i in steps])):
+            sizes[i ^ (i >> 1)] = size
 
         def exponent(order):
             k = mask = 0

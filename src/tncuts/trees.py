@@ -42,6 +42,10 @@ class SizeCapError(RuntimeError):
     """An input would exceed a resource cap (the oracle's dense sizes, the CLI's flags)."""
 
 
+class LandmarkMismatchError(RuntimeError):
+    """The computed exponent fell outside the expected landmark interval."""
+
+
 def _parse_label(text: str) -> int:
     """A leaf label in a key or a subset list, read as tree text writes it: a run of decimal digits."""
     if not (isinstance(text, str) and text.isdecimal()):

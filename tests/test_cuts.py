@@ -19,6 +19,7 @@ from tncuts import (
     EdgeId,
     TnsModel,
     all_binary_trees,
+    build_almost_perfect_binary,
     build_train_track,
     complement,
     generic_rank,
@@ -30,7 +31,7 @@ from tncuts import (
     verify_colour_cut,
     verify_mono_cut,
 )
-from tncuts.cuts import _cheapest_cut
+from tncuts.cuts import _cheapest_cut, _mono_sizes
 from tncuts.models import _clamped_bonds
 
 CAT4 = parse_tree("((1,2),(3,4))")
@@ -68,6 +69,30 @@ def test_empty_and_full_subsets():
                 assert min_product_cut(tree, a, f) == (1, frozenset()), tree.serialize()
                 assert _cheapest_cut(tree, tree.mask_of(a), _clamped_bonds(model)) == 1
                 assert generic_rank(model, a).value == 1
+
+
+def _check_toggles(tree, toggles):
+    """``_mono_sizes`` against one full cut DP of the running mask after every flip."""
+    weights = [2] * len(tree.edges())
+    mask = 0
+    sizes = list(_mono_sizes(tree, toggles))
+    assert len(sizes) == len(toggles)
+    for v, size in zip(toggles, sizes):
+        mask ^= 1 << v
+        assert size == _cheapest_cut(tree, mask, weights).bit_length() - 1, (tree.serialize(), v, mask)
+
+
+def test_mono_sizes_follow_leaves_in_and_out():
+    # the full Gray sequence visits every mask, half of its flips removals
+    for n in range(2, 7):
+        gray = [(i & -i).bit_length() - 1 for i in range(1, 1 << n)]
+        for tree in all_binary_trees(n):
+            _check_toggles(tree, gray)
+    rng = CounterRng(31)
+    trees = [random_binary_tree(n, seed=n) for n in range(8, 41)]
+    trees += [build_train_track(300), build_almost_perfect_binary(300)]
+    for tree in trees:
+        _check_toggles(tree, [rng.randbelow(tree.n) for _ in range(200)])
 
 
 def test_edge_split_needs_one_cut():

@@ -93,6 +93,35 @@ def test_one_rank_kernel():
         assert "_eliminate" in called, entry
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module binds, reads or imports, attributes included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_one_cut_dp():
+    # the cut DP's cost passes stay inside cuts; hackbusch reads cut sizes
+    # only through the leaf-toggle walk
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))}
+    users = [stem for stem, tree in modules.items() if {"_cut_costs", "_full_costs"} & _names(tree)]
+    assert users == ["cuts"]
+    from_cuts = [
+        alias.name
+        for node in ast.walk(modules["hackbusch"])
+        if isinstance(node, ast.ImportFrom) and node.module == "cuts"
+        for alias in node.names
+    ]
+    assert from_cuts == ["_mono_sizes"]
+    assert "cuts" not in _names(modules["hackbusch"])  # no ``from . import cuts``
+
+
 def _called_name(func: ast.expr) -> str | None:
     """``f`` for a call ``f(...)``, ``self.f(...)`` or ``cls.f(...)``."""
     if isinstance(func, ast.Name):
