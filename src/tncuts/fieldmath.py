@@ -5,15 +5,15 @@ row elimination, ``_eliminate``, that works in place on a uint64 buffer
 with entries in [0, p).  It has two ways in, each making the one copy it
 eliminates: ``rank_mod`` reduces any int64 matrix into the buffer, and
 ``oracle.flattening_rank`` copies a tensor's flattening into it as it
-is.  Both kernels, elimination and product, delay the reduction
-mod p, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): they
-work in uint64 and reduce once per four products of two residues, since
+is.  The product and the panel elimination delay the reduction mod p,
+as in FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): they work in
+uint64 and reduce once per four products of two residues, since
 p - 1 + 4*(p-1)^2 < 2^64 for p <= MAX_PRIME.  A larger p would overflow
-silently, so both refuse it with ValueError.  Each kernel also refuses
-more multiply-adds than a fixed work cap with SizeCapError.  This module
-imports numpy, which takes longer to load than the rest of the package,
-and only ``verify`` among the CLI commands loads it; SizeCapError lives
-in ``trees``, so a refused input loads neither.
+silently, so both kernels refuse it with ValueError.  Each kernel also
+refuses more multiply-adds than a fixed work cap with SizeCapError.  This
+module imports numpy, which takes longer to load than the rest of the
+package, and only ``verify`` among the CLI commands loads it;
+SizeCapError lives in ``trees``, so a refused input loads neither.
 
 A matrix of more than _PANEL = 32 rows is eliminated in panels of that
 many rows, again as in FFLAS-FFPACK: the pivots of a panel are found row
@@ -21,8 +21,12 @@ by row, and the rows after it are then updated by one float64 BLAS
 product.  Its operands are split into 16-bit halves, so every sum in it
 is an integer below 32 * (2^16 - 1 + 2^15 - 1) * (p - 1) < 2^53 and
 the product is exact whatever the BLAS summation order or thread count.
-A matrix of at most 32 rows, and the last panel of any matrix, takes
-the row-by-row loop alone.
+The last panel of a larger matrix takes the row-by-row loop alone.  A
+matrix of at most 32 rows that takes no column sample (below) is
+eliminated fraction-free, as in Bareiss (Math. Comp. 1968): each row
+below a pivot becomes piv * row - c * pivot row, c its entry in the
+pivot column, reduced at once, so no pivot is inverted and each step
+costs a few numpy calls.
 
 A wide matrix of full row rank costs about what an m x 2m one does.  When
 k >= 4m and k is above the width crossover _WIDE, ``_eliminate`` first
@@ -67,7 +71,9 @@ MATMUL_WORK_CAP = 1 << 29
 _WIDE = 400
 # Rows per panel of ``_eliminate``.  Its float64 products stay exact while
 # _PANEL * (2^16 - 1 + 2^15 - 1) * (p - 1) < 2^53, that is up to 42 rows
-# at p = MAX_PRIME; 32 keeps the row-by-row part of a panel small.
+# at p = MAX_PRIME; 32 keeps the row-by-row part of a panel small.  A
+# matrix of at most _PANEL rows and no column sample takes the
+# fraction-free loop instead.
 _PANEL = 32
 # Columns per panel update: its float64 temporaries stay near 5 * _PANEL
 # * _CHUNK entries beyond the rows it updates, however wide the matrix.
@@ -141,39 +147,70 @@ def _rank_buffer(m: int, k: int, p: int) -> np.ndarray:
 def _eliminate(a: np.ndarray, p: int) -> int:
     """Rank of a C-ordered uint64 (m, k) array, m <= k, with entries in [0, p).
 
-    Row elimination in place, top to bottom, in panels of _PANEL rows; ``a``
-    is overwritten.  Within a panel, a row that reduces to zero depends on
-    the rows above it; otherwise its first nonzero is the pivot, and (p -
-    factor) times the row is added to other rows of the panel, so every
-    update is a non-negative product of two residues, at most (p - 1)^2.
-    Those rows are reduced once every four updates, from the leftmost
-    column those updates touched: an entry is then at most
-    p - 1 + 4(p - 1)^2 < 2^64.  Between reductions the entries are
-    unreduced, so a row with updates pending is reduced in place before the
-    nonzero search (an unreduced multiple of p is a zero), and the pivot
-    column before it is multiplied.
+    Row elimination in place, top to bottom; ``a`` is overwritten.
 
-    The last panel, and so the whole of a matrix of at most _PANEL rows,
-    updates only the rows below each pivot.  A panel with rows after it
-    updates all its other rows, and scales the pivot row by the inverse of
-    its pivot, so that its pivot rows U end with U[:, piv] = I.  The rows
-    after it, T, are then updated once, T -= T[:, piv] @ U mod p, by an
-    exact float64 product (``_update_float``) per _CHUNK columns, and stay
-    in ``a`` as residues.  When they are all zero, the rank is found.
+    A matrix of at most _PANEL rows with no column sample (below) takes
+    one inverse-free loop.  A row that is zero depends on the rows above
+    it, and ends the elimination when every row after it is zero too;
+    otherwise its first nonzero, piv, is the pivot, and each row r below
+    it becomes piv * r + (p - c) * row, where c is r's entry in the pivot
+    column, which becomes zero.  The sums stay below
+    (p - 1)^2 + p(p - 1) < 2^63 and are reduced once per step.  The update
+    runs over whole rows, left of the pivot too: the rows below are then
+    one contiguous block, on which numpy runs faster than on a column
+    slice of it.
 
-    A wide input, k >= 4m and k > _WIDE, is first certified on a copy of
-    2m of its columns (``_sample_columns``), eliminated the same way: a
-    sample of rank m proves rank m, since the rank is at most m and the
-    sample's columns are columns of ``a``.  The sample is given up at its
-    first dependent row, so a failed sample costs at most one panel more
-    than its pivots, and ``a``, untouched so far, is eliminated in full.
-    Every uint64 reduction, of a row or of the rows below, goes through
-    ``_reduce``, and every pivot search through ``_pivot``: each takes its
-    wide form above _WIDE entries.
+    Any other matrix is eliminated in panels of _PANEL rows.  Within a
+    panel, a row that reduces to zero depends on the rows above it;
+    otherwise its first nonzero is the pivot, and (p - factor) times the
+    row is added to other rows of the panel, so every update is a
+    non-negative product of two residues, at most (p - 1)^2.  Those rows
+    are reduced once every four updates, from the leftmost column those
+    updates touched: an entry is then at most p - 1 + 4(p - 1)^2 < 2^64.
+    Between reductions the entries are unreduced, so a row with updates
+    pending is reduced in place before the nonzero search (an unreduced
+    multiple of p is a zero), and the pivot column before it is multiplied.
+
+    The last panel updates only the rows below each pivot.  A panel with
+    rows after it updates all its other rows, and scales the pivot row by
+    the inverse of its pivot, so that its pivot rows U end with
+    U[:, piv] = I.  The rows after it, T, are then updated once,
+    T -= T[:, piv] @ U mod p, by an exact float64 product
+    (``_update_float``) per _CHUNK columns, and stay in ``a`` as residues.
+    When they are all zero, the rank is found.
+
+    A wide input, k >= 4m and k > _WIDE, of any height, is first certified
+    on a copy of 2m of its columns (``_sample_columns``), eliminated in
+    panels: a sample of rank m proves rank m, since the rank is at most m
+    and the sample's columns are columns of ``a``.  The sample is given up
+    at its first dependent row, so a failed sample costs at most one panel
+    more than its pivots, and ``a``, untouched so far, is eliminated in
+    full.  Every uint64 reduction, of a row or of the rows below, goes
+    through ``_reduce``, and every pivot search through ``_pivot``: each
+    takes its wide form above _WIDE entries.
     """
     m, k = a.shape
     q = np.uint64(p)
     wide = k >= 4 * m and k > _WIDE
+    if m <= _PANEL and not wide:
+        rank = 0
+        for i in range(m):
+            row = a[i]
+            j = _pivot(row)
+            if j < 0:
+                if not a[i + 1 :].any():
+                    break
+                continue
+            rank += 1
+            if i + 1 == m:
+                break
+            # whole rows: a contiguous block takes numpy's one flat loop
+            below = a[i + 1 :]
+            f = q - below[:, j]
+            below *= row[j]  # a numpy scalar: numpy converts a Python int slower
+            below += f[:, None] * row
+            _reduce(below, q)
+        return rank
     for b in (a[:, _sample_columns(m, k)], a) if wide else (a,):
         w = b.shape[1]
         rank = 0
@@ -291,7 +328,7 @@ def _pivot(row: np.ndarray) -> int:
         j = int(nz.argmax())
         return j if nz[j] else -1
     nz = row.nonzero()[0]
-    return int(nz[0]) if nz.size else -1
+    return nz.item(0) if nz.size else -1
 
 
 def _sample_columns(m: int, k: int) -> np.ndarray:

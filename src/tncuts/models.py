@@ -209,11 +209,12 @@ def _clamped_bonds(model: TnsModel) -> list[int]:
     Leaf i's edge is ``edges()[i - 1]``, and on 2 leaves both leaves
     share edge 0 (see ``Tree``).
     """
-    bonds = [model.f[e] for e in model.tree.edges()]
-    for leaf, d in model.dims.items():
-        i = min(leaf, len(bonds)) - 1
-        bonds[i] = min(bonds[i], d)
-    return bonds
+    f, dims = model.f, model.dims
+    edges = model.tree.edges()
+    if len(edges) == 1:
+        return [min(f[edges[0]], dims[1], dims[2])]
+    n = len(dims)
+    return [min(f[e], dims[leaf]) for leaf, e in enumerate(edges[:n], 1)] + [f[e] for e in edges[n:]]
 
 
 def generic_rank(model: TnsModel, a: Iterable[int]) -> RankPrediction:

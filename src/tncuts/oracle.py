@@ -172,29 +172,48 @@ def _draw(tree: Tree, bonds: list[int], dims: tuple[int, ...], seed: int, p: int
 def flattening_rank(t: DenseTensor, a: Iterable[int]) -> int:
     """Exact rank of the matrix with A-leaf indices as rows.
 
-    Both sides are sized from the tensor's shape, and the shorter one
-    becomes the rows (the rank is the same on the transpose).  The
-    flattening is then one copy, straight from the transposed tensor into
-    the buffer that ``_eliminate`` works on in place: ``DenseTensor``
-    checked that the entries lie in [0, p), so nothing is reduced, and the
-    tensor is left as it was.
+    The labels are checked against the tensor's axes and read as a leaf
+    mask, whose flattening ``_flattening`` copies into the buffer that
+    ``_eliminate`` works on in place: ``DenseTensor`` checked that the
+    entries lie in [0, p), so nothing is reduced, and the tensor is left
+    as it was.
     A side with no leaves (A empty, or every leaf) has one row, so the
     rank is 1 for a nonzero tensor and 0 for a zero one; a zero-length
     axis on either side gives rank 0.  More than RANK_WORK_CAP
     multiply-adds raise SizeCapError before the copy.
     """
-    labels = set(a)
-    for lab in labels:
+    mask = 0
+    for lab in a:
         if not 1 <= lab <= t.n:
             raise ValueError(f"unknown leaf label {lab}")
-    rows = sorted(lab - 1 for lab in labels)
-    cols = [i for i in range(t.n) if i + 1 not in labels]
-    m, k = prod(t.shape[i] for i in rows), prod(t.shape[i] for i in cols)
+        mask |= 1 << (lab - 1)
+    return _eliminate(_flattening(t, mask), t.p)
+
+
+def _flattening(t: DenseTensor, mask: int) -> np.ndarray:
+    """The flattening of ``t`` with the axes in ``mask`` (bit i is axis i)
+    as rows, copied into a fresh ``_eliminate`` buffer.
+
+    Both sides are sized from the tensor's shape, and the shorter one
+    becomes the rows (the rank is the same on the transpose).  The copy
+    goes straight from the transposed tensor into the buffer, after
+    ``_rank_buffer`` has checked p and the work cap.
+    """
+    shape = t.shape
+    rows, cols, m, k = [], [], 1, 1
+    for i, d in enumerate(shape):
+        if mask >> i & 1:
+            rows.append(i)
+            m *= d
+        else:
+            cols.append(i)
+            k *= d
     if m > k:
         rows, cols, m, k = cols, rows, k, m
     buf = _rank_buffer(m, k, t.p)
-    np.copyto(buf.reshape([t.shape[i] for i in rows + cols]), np.transpose(t.data.view(np.uint64), rows + cols))
-    return _eliminate(buf, t.p)
+    axes = rows + cols
+    np.copyto(buf.reshape([shape[i] for i in axes]), np.transpose(t.data.view(np.uint64), axes))
+    return buf
 
 
 def estimate_generic_rank(
@@ -212,17 +231,20 @@ def estimate_generic_rank(
     optimalised model (over the clamped bonds the sampler uses): no tensor
     of the model has a larger rank, so the remaining trials could not raise
     the maximum and the result equals the max over all ``trials`` samples.
+    The labels are read once, into the leaf mask that the bound and every
+    trial's flattening share; an unknown label raises ValueError before
+    anything is drawn.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    labels = frozenset(a)
+    mask = model.tree.mask_of(a)
     bonds = _clamped_bonds(model)
     # Exact equality: a wrong bound that no trial meets runs every trial.
-    bound = _cheapest_cut(model.tree, model.tree.mask_of(labels), bonds)
+    bound = _cheapest_cut(model.tree, mask, bonds)
     best = 0
     for i in range(trials):
         t = _sample(model, bonds, derive_seed(seed, i), p)
-        best = max(best, flattening_rank(t, labels))
+        best = max(best, _eliminate(_flattening(t, mask), p))
         if best == bound:
             break
     return best
@@ -232,10 +254,7 @@ def check_membership(t: DenseTensor, model: TnsModel) -> bool:
     """Edge characterisation: every edge flattening rank within its bond."""
     if t.shape != model.shape():
         raise ValueError(f"tensor shape {t.shape} does not match model dims {model.shape()}")
-    tree = model.tree
-    return all(
-        flattening_rank(t, tree.leaves_left_of(eid)) <= model.f[eid] for eid in tree.edges()
-    )
+    return all(_eliminate(_flattening(t, eid.mask), t.p) <= model.f[eid] for eid in model.tree.edges())
 
 
 def kron(t1: DenseTensor, t2: DenseTensor) -> DenseTensor:

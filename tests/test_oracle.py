@@ -205,14 +205,19 @@ def _at_the_bound(p: int, pivots: list[int], k: int) -> np.ndarray:
     return np.array(rows + [total] * 3, dtype=np.int64)
 
 
+def _product(rng: np.random.Generator, p: int, m: int, k: int, r: int) -> np.ndarray:
+    """A seeded m x k product of rank at most r."""
+    x = rng.integers(0, p, size=(m, r), dtype=np.int64)
+    y = rng.integers(0, p, size=(r, k), dtype=np.int64)
+    return matmul_mod(x, y, p)
+
+
 def _rank_corpus(p: int) -> list[np.ndarray]:
     """Matrices that exercise every branch of the delayed-reduction elimination."""
     rng = np.random.default_rng(p)
     mats = []
     for m, n, r in [(6, 6, 6), (9, 27, 4), (27, 9, 9), (20, 20, 13), (1, 12, 1), (12, 1, 1), (30, 30, 0)]:
-        x = rng.integers(0, p, size=(m, r), dtype=np.int64)
-        y = rng.integers(0, p, size=(r, n), dtype=np.int64)
-        mats.append(matmul_mod(x, y, p))  # a seeded product of rank at most r
+        mats.append(_product(rng, p, m, n, r))
     full = np.full((12, 12), p - 1, dtype=np.int64)
     mats += [np.triu(full), np.tril(full), np.triu(full)[:, ::-1]]
     staircase = _at_the_bound(p, list(range(8)), 14)
@@ -240,7 +245,34 @@ def _rank_corpus(p: int) -> list[np.ndarray]:
     wide = _wide_corpus(p, rng)
     panels = _panel_corpus(p, rng)
     # transposes of the 33-row matrix and of the one with a zero first panel
-    return mats + wide + [wide[0].T, wide[-1].T] + panels + [panels[0].T, panels[5].T]
+    return mats + wide + [wide[0].T, wide[-1].T] + panels + [panels[0].T, panels[5].T] + _small_corpus(p, rng)
+
+
+def _small_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Matrices at the edges of the fraction-free loop that eliminates
+    matrices of at most ``fieldmath._PANEL`` rows and no column sample: the
+    row count on both sides of the bound, the largest sums, and zero rows
+    before and after the nonzero ones."""
+    b = fieldmath._PANEL
+    # the last row count that takes the loop, and the first that does not
+    mats = [_product(rng, p, b, b + 8, b - 5), _product(rng, p, b + 1, b + 8, b - 5)]
+    # a pivot of p - 1 over rows that are zero in its column and p - 1 right
+    # of it: each row below becomes (p - 1)^2 + p(p - 1), the largest sum;
+    # a full block of p - 1; and the rank-1 outer product of a p - 1 vector
+    # with a vector of residues
+    top = np.full((b, b + 4), p - 1, dtype=np.int64)
+    top[1:, 0] = 0
+    top[5] = 0
+    mats += [top, np.full((b, b), p - 1, dtype=np.int64)]
+    mats.append(np.outer(np.full(b, p - 1, dtype=np.int64), rng.integers(0, p, size=b + 3, dtype=np.int64)) % p)
+    # a zero first row over a nonzero rest: stopping at the first zero row
+    # would give rank 0
+    lead = _product(rng, p, 20, 30, 7)
+    lead[0] = 0
+    # zero rows only at the end, after rows of full rank
+    trail = np.zeros((24, 30), dtype=np.int64)
+    trail[:9] = _product(rng, p, 9, 30, 9)
+    return mats + [lead, trail]
 
 
 def _wide_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -250,9 +282,7 @@ def _wide_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
     w = fieldmath._WIDE
     mats = []
     for m, k, r in [(5, w, 5), (5, w + 1, 5), (9, 1000, 9), (8, w + 1, 3), (12, 900, 5), (1, w + 1, 1)]:
-        x = rng.integers(0, p, size=(m, r), dtype=np.int64)
-        y = rng.integers(0, p, size=(r, k), dtype=np.int64)
-        mats.append(matmul_mod(x, y, p))  # full row rank if r == m, else rank at most r
+        mats.append(_product(rng, p, m, k, r))  # full row rank if r == m
     for m in (1, 6):
         # full row rank, but every sampled column is zero: only the fallback
         # to the whole matrix finds rank m
@@ -277,21 +307,16 @@ def _panel_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
     early stops, the float64 product at its bound, and wide samples that
     pass or fail across panels."""
     b = fieldmath._PANEL
-
-    def product(m, k, r):
-        x = rng.integers(0, p, size=(m, r), dtype=np.int64)
-        y = rng.integers(0, p, size=(r, k), dtype=np.int64)
-        return matmul_mod(x, y, p)  # a seeded product of rank at most r
-
-    mats = [product(m, k, r) for m, k, r in [(33, 40, 33), (64, 64, 64), (65, 70, 65), (65, 66, 40), (70, 70, 5)]]
+    shapes = [(33, 40, 33), (64, 64, 64), (65, 70, 65), (65, 66, 40), (70, 70, 5)]
+    mats = [_product(rng, p, m, k, r) for m, k, r in shapes]
     # an all-zero first panel: stopping on a panel without pivots, rather
     # than on zero rows after it, would give rank 0
     zero_first = np.zeros((b + 8, 40), dtype=np.int64)
-    zero_first[b:] = product(8, 40, 8)
+    zero_first[b:] = _product(rng, p, 8, 40, 8)
     mats.append(zero_first)
     # dependent rows on both sides of the first panel boundary: row b - 1
     # repeats a row of the second panel, row b + 2 sums rows of both panels
-    straddle = product(50, 60, 50)
+    straddle = _product(rng, p, 50, 60, 50)
     straddle[b - 1] = straddle[b + 5]
     straddle[b + 2] = (straddle[3] + straddle[b + 10]) % p
     mats.append(straddle)
@@ -308,8 +333,8 @@ def _panel_corpus(p: int, rng: np.random.Generator) -> list[np.ndarray]:
     # rank-deficient, where the sample fails in its first panel; and one
     # dependent row in the second panel, where it fails after a product
     w = fieldmath._WIDE + 1
-    mats += [product(40, w, 40), product(40, w, 20)]
-    late = product(40, w, 40)
+    mats += [_product(rng, p, 40, w, 40), _product(rng, p, 40, w, 20)]
+    late = _product(rng, p, 40, w, 40)
     late[b + 3] = (late[5] + late[b + 1]) % p
     mats.append(late)
     # full row rank, but every sampled column is zero
@@ -779,7 +804,8 @@ def test_flattening_rank_zero_length_axes():
 def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
     """Every flattening of seeded tensors on 2-7 leaves, the one-leaf
     flattenings of two wide 7-leaf tensors, then the delayed-reduction bound
-    matrices and the wide and panel corpora as 2-axis tensors at {1} and {2}."""
+    matrices and the wide, panel and small-loop corpora as 2-axis tensors at
+    {1} and {2}."""
     rng = CounterRng(p)
     cases = []
     for n in range(2, 8):
@@ -797,7 +823,9 @@ def _flattening_corpus(p: int) -> list[tuple[DenseTensor, set[int]]]:
     gen = np.random.default_rng(p)
     wide = _wide_corpus(p, gen)
     panels = _panel_corpus(p, gen)
-    for mat in [_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)] + wide + panels:
+    small = _small_corpus(p, gen)
+    bound = [_at_the_bound(p, list(range(8)), 14), _at_the_bound(p, [0, 1, 2, 12, 3, 4, 5, 13], 14)]
+    for mat in bound + wide + panels + small:
         mat.flags.writeable = False
         t = DenseTensor(mat, p)
         cases += [(t, {1}), (t, {2})]
@@ -842,11 +870,16 @@ def test_estimate_generic_rank_error_contract(monkeypatch):
             estimate_generic_rank(m, {1}, p=bad_p)
 
     def no_draws(self, count, p):
-        raise AssertionError("drew residues before the size cap")
+        raise AssertionError("drew residues before the input was checked")
 
     monkeypatch.setattr(CounterRng, "residues", no_draws)
     with pytest.raises(SizeCapError):
         estimate_generic_rank(TnsModel.constant(build_train_track(65), 1), {1})
+    # labels are checked before the first draw, which the memo must not serve
+    oracle._clear_sample_memo()
+    for bad in ({0}, {5}):
+        with pytest.raises(ValueError, match="unknown leaf label"):
+            estimate_generic_rank(m, bad)
 
 
 def test_estimate_clamps_bonds_once(monkeypatch):

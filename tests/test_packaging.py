@@ -93,6 +93,18 @@ def test_one_rank_kernel():
         assert "_eliminate" in called, entry
 
 
+def test_one_flattening_builder():
+    # every oracle entry point copies its flattening through one builder
+    functions = {fn.name: fn for fn in _functions(PACKAGE / "oracle.py")}
+    called = {
+        name: {_called_name(sub.func) for sub in ast.walk(fn) if isinstance(sub, ast.Call)}
+        for name, fn in functions.items()
+    }
+    assert [name for name, calls in called.items() if "_rank_buffer" in calls] == ["_flattening"]
+    for entry in ("flattening_rank", "estimate_generic_rank", "check_membership"):
+        assert "_flattening" in called[entry], entry
+
+
 def _names(tree: ast.AST) -> set[str]:
     """Every name a module binds, reads or imports, attributes included."""
     names = set()
